@@ -21,8 +21,42 @@ pub use service::json::Json;
 pub struct Baseline {
     /// Suite name (`ssa_methods`, `ensemble_scaling`, …).
     pub suite: String,
+    /// The machine the run was recorded on; `None` for files written
+    /// before the shim recorded one.
+    pub machine: Option<Machine>,
     /// Per-benchmark summary statistics, in file order.
     pub benchmarks: Vec<BenchmarkStats>,
+}
+
+/// The machine fingerprint the criterion shim writes next to its results.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Machine {
+    /// Logical CPUs available to the benchmark process.
+    pub nproc: u64,
+    /// CPU model name.
+    pub cpu: String,
+    /// Compiler version (`rustc -V`).
+    pub rustc: String,
+}
+
+impl std::fmt::Display for Machine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} × {}, {}", self.nproc, self.cpu, self.rustc)
+    }
+}
+
+/// Explains why a baseline and a fresh run may not be comparable: their
+/// machine fingerprints differ, or either lacks one. `None` when both were
+/// recorded on the same machine and compiler.
+pub fn machine_mismatch(baseline: &Baseline, fresh: &Baseline) -> Option<String> {
+    match (&baseline.machine, &fresh.machine) {
+        (Some(a), Some(b)) if a == b => None,
+        (Some(a), Some(b)) => Some(format!(
+            "baseline recorded on [{a}], fresh run on [{b}]: raw medians are not comparable"
+        )),
+        (None, _) => Some("baseline has no machine fingerprint".to_string()),
+        (_, None) => Some("fresh run has no machine fingerprint".to_string()),
+    }
 }
 
 /// Summary statistics of one benchmark id, in nanoseconds per iteration.
@@ -53,6 +87,26 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
         .ok_or("missing \"suite\"")?
         .as_str("suite")?
         .to_string();
+    let machine = match value.get("machine") {
+        None => None,
+        Some(machine) => {
+            let text = |key: &str| -> Result<String, String> {
+                Ok(machine
+                    .get(key)
+                    .ok_or_else(|| format!("machine missing \"{key}\""))?
+                    .as_str(key)?
+                    .to_string())
+            };
+            Some(Machine {
+                nproc: machine
+                    .get("nproc")
+                    .ok_or("machine missing \"nproc\"")?
+                    .as_u64("nproc")?,
+                cpu: text("cpu")?,
+                rustc: text("rustc")?,
+            })
+        }
+    };
     let mut benchmarks = Vec::new();
     for (i, entry) in value
         .get("benchmarks")
@@ -79,7 +133,11 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
             max_ns: number("max")?,
         });
     }
-    Ok(Baseline { suite, benchmarks })
+    Ok(Baseline {
+        suite,
+        machine,
+        benchmarks,
+    })
 }
 
 /// How one benchmark id moved between the baseline and a fresh run.
@@ -353,14 +411,45 @@ mod tests {
     fn baseline_of(entries: &[(&str, f64)]) -> Baseline {
         Baseline {
             suite: "unit".to_string(),
+            machine: None,
             benchmarks: entries.iter().map(|&(id, m)| stats(id, m)).collect(),
         }
+    }
+
+    #[test]
+    fn machine_fingerprints_are_parsed_and_compared() {
+        let with_machine = SAMPLE.replace(
+            "\"unit\": \"ns_per_iter\",",
+            "\"unit\": \"ns_per_iter\",\n  \"machine\": {\"nproc\": 2, \"cpu\": \"Example CPU\", \
+             \"rustc\": \"rustc 1.0.0\"},",
+        );
+        let recorded = parse_baseline(&with_machine).expect("parse");
+        let machine = recorded.machine.clone().expect("fingerprint");
+        assert_eq!(machine.nproc, 2);
+        assert_eq!(machine.cpu, "Example CPU");
+        assert_eq!(machine.rustc, "rustc 1.0.0");
+        assert_eq!(machine_mismatch(&recorded, &recorded), None);
+
+        let legacy = parse_baseline(SAMPLE).expect("parse");
+        let missing = machine_mismatch(&legacy, &recorded).expect("warning");
+        assert!(missing.contains("baseline has no machine fingerprint"));
+        assert!(machine_mismatch(&recorded, &legacy).is_some());
+
+        let mut elsewhere = recorded.clone();
+        elsewhere.machine = Some(Machine {
+            nproc: 8,
+            ..machine
+        });
+        let differs = machine_mismatch(&recorded, &elsewhere).expect("warning");
+        assert!(differs.contains("2 × Example CPU") && differs.contains("8 × Example CPU"));
+        assert!(parse_baseline(&with_machine.replace("\"nproc\": 2, ", "")).is_err());
     }
 
     #[test]
     fn parses_the_committed_format() {
         let baseline = parse_baseline(SAMPLE).expect("parse");
         assert_eq!(baseline.suite, "ssa_methods");
+        assert_eq!(baseline.machine, None);
         assert_eq!(baseline.benchmarks.len(), 2);
         assert_eq!(baseline.benchmarks[0].id, "ssa_methods/chain_10/direct");
         assert_eq!(baseline.benchmarks[0].median_ns, 358534.1);

@@ -37,6 +37,12 @@
 //! (a `metrics_overhead` row must land within 5% of its group's
 //! `simulate_cache_hit` row — observability stays off the hot path).
 //!
+//! Each suite's header warns when the baseline and the fresh run carry
+//! different machine fingerprints (CPU count, CPU model, compiler), or when
+//! either lacks one: raw medians from different machines are not
+//! comparable, so prefer `--normalize 1` or re-record on one machine. The
+//! warning does not fail the gate.
+//!
 //! Exit codes: `0` gate passed, `1` regression (or vanished benchmark, or
 //! portfolio violation), `2` usage or I/O error. See the README's
 //! *Benchmark regression policy* for when and how to re-baseline
@@ -46,7 +52,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use bench::baseline::{
-    hybrid_showcase_violations, parse_baseline, portfolio_violations,
+    hybrid_showcase_violations, machine_mismatch, parse_baseline, portfolio_violations,
     telemetry_overhead_violations, Baseline, Comparison,
 };
 use bench::{Args, Table};
@@ -126,6 +132,9 @@ fn run() -> Result<bool, String> {
                 String::new()
             }
         );
+        if let Some(mismatch) = machine_mismatch(&baseline, &fresh) {
+            println!("WARNING: {mismatch}");
+        }
         let mut table = Table::new(&["benchmark", "baseline", "fresh", "ratio", "verdict"]);
         for delta in &comparison.deltas {
             let verdict = if delta.ratio > 1.0 + threshold {

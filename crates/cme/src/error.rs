@@ -40,6 +40,18 @@ pub enum CmeError {
         /// Number of sweeps performed.
         sweeps: usize,
     },
+    /// A transient solve would need more uniformization work than the
+    /// fixed series budget allows: its Poisson series runs for about `Λt`
+    /// terms, and each term is one sparse product over the generator's
+    /// nonzeros.
+    SeriesBudgetExceeded {
+        /// The uniformization rate times the time horizon, `Λt`.
+        rate_time: f64,
+        /// The predicted work, in terms × generator nonzeros.
+        work: f64,
+        /// The budget the prediction exceeded, in the same unit.
+        budget: f64,
+    },
 }
 
 impl fmt::Display for CmeError {
@@ -59,6 +71,16 @@ impl fmt::Display for CmeError {
             CmeError::NotConverged { residual, sweeps } => write!(
                 f,
                 "first-passage iteration left {residual:.3e} transient mass after {sweeps} sweeps"
+            ),
+            CmeError::SeriesBudgetExceeded {
+                rate_time,
+                work,
+                budget,
+            } => write!(
+                f,
+                "uniformization series too long: Λt = {rate_time:.3e} predicts \
+                 {work:.3e} term×nonzero products, above the budget of {budget:.0e} \
+                 (shorten the time horizon or shrink the state space)"
             ),
         }
     }
@@ -85,6 +107,11 @@ mod tests {
                 residual: 1e-3,
                 sweeps: 100,
             },
+            CmeError::SeriesBudgetExceeded {
+                rate_time: 2e12,
+                work: 8e12,
+                budget: 1e9,
+            },
         ];
         for e in cases {
             assert!(!e.to_string().is_empty());
@@ -95,6 +122,13 @@ mod tests {
         };
         assert!(bound.to_string().contains("x1"));
         assert!(bound.to_string().contains('7'));
+        let series = CmeError::SeriesBudgetExceeded {
+            rate_time: 2e12,
+            work: 8e12,
+            budget: 1e9,
+        };
+        assert!(series.to_string().contains("Λt = 2.000e12"));
+        assert!(series.to_string().contains("budget of 1e9"));
     }
 
     #[test]

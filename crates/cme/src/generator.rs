@@ -1,5 +1,7 @@
 //! The sparse infinitesimal-generator matrix of a state space.
 
+use std::ops::Range;
+
 use crate::space::StateSpace;
 
 /// The infinitesimal generator `Q` of the CME restricted to a
@@ -181,26 +183,146 @@ impl GeneratorMatrix {
         self.uniformization_rate
     }
 
-    /// Computes `out = v·P` for the uniformized matrix `P = I + Q/Λ`,
-    /// accumulating one jump of the uniformized chain.
+    /// Builds the uniformized matrix `P = I + Q/Λ`, once per solve.
     ///
     /// # Panics
     ///
-    /// Panics if the vector lengths do not match the dimension or `lambda`
-    /// is not positive.
-    pub(crate) fn apply_uniformized(&self, lambda: f64, v: &[f64], out: &mut [f64]) {
+    /// Panics if the uniformization rate is zero (no transition can fire,
+    /// so there is nothing to uniformize).
+    pub(crate) fn uniformized(&self) -> UniformizedMatrix {
         let n = self.dimension();
+        let lambda = self.uniformization_rate;
         assert!(lambda > 0.0, "uniformization rate must be positive");
-        assert!(v.len() == n && out.len() == n, "dimension mismatch");
-        out.copy_from_slice(v);
-        for (i, &vi) in v.iter().enumerate() {
-            if vi == 0.0 {
-                continue;
-            }
+        // Transposed CSR: count the entries of each column, then fill rows
+        // in ascending order so every column lists its sources sorted.
+        let mut col_ptr = vec![0usize; n + 1];
+        for &j in &self.cols {
+            col_ptr[j + 1] += 1;
+        }
+        for j in 0..n {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut next_slot = col_ptr[..n].to_vec();
+        let mut sources = vec![0usize; self.nnz()];
+        let mut probabilities = vec![0.0f64; self.nnz()];
+        let mut reach_start = Vec::with_capacity(n);
+        let mut reach_end = Vec::with_capacity(n + 1);
+        reach_end.push(0);
+        let mut leaks = Vec::new();
+        for i in 0..n {
+            let leak = self.leak[i] / lambda;
+            let off_diagonal: f64 = self
+                .row(i)
+                .filter(|&(j, _)| j != i)
+                .map(|(_, q)| q / lambda)
+                .sum();
+            // The diagonal closes the row at exactly `1 − leak_i/Λ`, so the
+            // mass a jump loses is the leak alone. Rounding can push the
+            // fastest row's self-loop a hair below zero; clamp it there.
+            let diagonal = (1.0 - leak - off_diagonal).max(0.0);
             for (j, q) in self.row(i) {
-                out[j] += vi * q / lambda;
+                let slot = next_slot[j];
+                next_slot[j] += 1;
+                sources[slot] = i;
+                probabilities[slot] = if j == i { diagonal } else { q / lambda };
+            }
+            // Every row stores its diagonal, so the range is never empty.
+            let (first, last) = (self.row_ptr[i], self.row_ptr[i + 1] - 1);
+            reach_start.push(self.cols[first]);
+            reach_end.push(reach_end[i].max(self.cols[last] + 1));
+            if leak > 0.0 {
+                leaks.push((i, leak));
             }
         }
+        for i in (1..n).rev() {
+            reach_start[i - 1] = reach_start[i - 1].min(reach_start[i]);
+        }
+        UniformizedMatrix {
+            col_ptr,
+            sources,
+            probabilities,
+            reach_start,
+            reach_end,
+            leaks,
+        }
+    }
+}
+
+/// The uniformized matrix `P = I + Q/Λ` of a [`GeneratorMatrix`], stored
+/// transposed so that each entry of a jump `v·P` is one short dot product
+/// over the states feeding it, with no division.
+///
+/// Row `i` of `P` sums to `1 − leak_i/Λ`, so one jump loses exactly
+/// [`leak_loss`](Self::leak_loss) of the vector's mass and nothing else.
+#[derive(Debug)]
+pub(crate) struct UniformizedMatrix {
+    /// `col_ptr[j]..col_ptr[j + 1]` indexes the entries of column `j`.
+    col_ptr: Vec<usize>,
+    /// Source state (row) of each entry.
+    sources: Vec<usize>,
+    /// Jump probability `p_ij` of each entry.
+    probabilities: Vec<f64>,
+    /// `reach_start[lo]..reach_end[hi]` covers every column that rows
+    /// `lo..hi` have an entry in: the states mass sitting on those rows can
+    /// reach in one jump. `reach_start` is the suffix minimum of each row's
+    /// first column, `reach_end` the prefix maximum of its last column + 1
+    /// (exact for breadth-first state orders, a superset otherwise).
+    reach_start: Vec<usize>,
+    reach_end: Vec<usize>,
+    /// `(i, leak_i/Λ)` for every row that leaks out of the window.
+    leaks: Vec<(usize, f64)>,
+}
+
+impl UniformizedMatrix {
+    /// Returns the mass one jump from `v` loses through
+    /// finite-state-projection leak: `Σ_i v_i·leak_i/Λ` over the leaking
+    /// rows only. Exactly zero when no row leaks.
+    pub(crate) fn leak_loss(&self, v: &[f64]) -> f64 {
+        self.leaks.iter().map(|&(i, leak)| v[i] * leak).sum()
+    }
+
+    /// Computes one jump `out = v·P` where `v` is zero outside `window`,
+    /// writing only the entries that mass in `window` can reach.
+    ///
+    /// Entries below `f64::MIN_POSITIVE` (subnormal or zero) are flushed to
+    /// zero. Returns the index range that holds every nonzero of `out`
+    /// (empty when nothing is left) and the mass flushed. Entries of `out`
+    /// outside the reachable range are not touched; the caller keeps them
+    /// zero.
+    pub(crate) fn jump(
+        &self,
+        v: &[f64],
+        window: Range<usize>,
+        out: &mut [f64],
+    ) -> (Range<usize>, f64) {
+        let (lo, hi) = if window.is_empty() {
+            (0, 0)
+        } else {
+            (self.reach_start[window.start], self.reach_end[window.end])
+        };
+        let mut flushed = 0.0f64;
+        let (mut first, mut end) = (hi, lo);
+        let columns = self.col_ptr[lo..=hi].windows(2);
+        for (j, (slot, column)) in (lo..).zip(out[lo..hi].iter_mut().zip(columns)) {
+            let range = column[0]..column[1];
+            let mut sum = 0.0f64;
+            for (&i, &p) in self.sources[range.clone()]
+                .iter()
+                .zip(&self.probabilities[range])
+            {
+                sum += v[i] * p;
+            }
+            if sum < f64::MIN_POSITIVE {
+                flushed += sum;
+                sum = 0.0;
+            } else {
+                first = first.min(j);
+                end = j + 1;
+            }
+            *slot = sum;
+        }
+        let nonzero = if first < end { first..end } else { 0..0 };
+        (nonzero, flushed)
     }
 }
 
@@ -276,15 +398,62 @@ mod tests {
     }
 
     #[test]
-    fn apply_uniformized_preserves_mass_on_closed_systems() {
+    fn uniformized_matrix_preserves_mass_on_closed_systems() {
         let (_, space) = space_of("a -> b @ 1\nb -> a @ 2", &[("a", 4)], 4);
-        let generator = GeneratorMatrix::from_space(&space);
-        let lambda = generator.uniformization_rate();
-        let mut v = vec![0.0; generator.dimension()];
+        let matrix = GeneratorMatrix::from_space(&space).uniformized();
+        let mut v = vec![0.0; space.len()];
         v[0] = 1.0;
-        let mut out = vec![0.0; generator.dimension()];
-        generator.apply_uniformized(lambda, &v, &mut out);
+        let mut out = vec![0.0; space.len()];
+        let (window, flushed) = matrix.jump(&v, 0..1, &mut out);
         assert!((out.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(out.iter().all(|&p| p >= 0.0));
+        assert!(out
+            .iter()
+            .enumerate()
+            .all(|(i, &p)| p == 0.0 || window.contains(&i)));
+        assert_eq!(flushed, 0.0);
+        assert_eq!(matrix.leak_loss(&v), 0.0);
+    }
+
+    #[test]
+    fn uniformized_rows_lose_exactly_their_leak() {
+        let crn: Crn = "0 -> a @ 5\na -> 0 @ 1".parse().unwrap();
+        let space =
+            StateSpace::enumerate(&crn, &crn.zero_state(), &PopulationBounds::truncating(3))
+                .unwrap();
+        let matrix = GeneratorMatrix::from_space(&space).uniformized();
+        let n = space.len();
+        // Spread mass over every state, the leaking boundary included.
+        let v = vec![1.0 / n as f64; n];
+        let mut out = vec![0.0; n];
+        let (window, _) = matrix.jump(&v, 0..n, &mut out);
+        assert_eq!(window, 0..n);
+        let lost = 1.0 - out.iter().sum::<f64>();
+        assert!(matrix.leak_loss(&v) > 0.0);
+        assert!(
+            (lost - matrix.leak_loss(&v)).abs() < 1e-15,
+            "lost {lost:.3e}, leak {:.3e}",
+            matrix.leak_loss(&v)
+        );
+    }
+
+    #[test]
+    fn jumps_flush_subnormal_mass_and_shrink_the_window() {
+        let (_, space) = space_of("a -> b @ 1\nb -> a @ 1", &[("a", 2)], 2);
+        let matrix = GeneratorMatrix::from_space(&space).uniformized();
+        let mut v = vec![0.0; space.len()];
+        v[0] = 1e-300;
+        let mut out = vec![0.0; space.len()];
+        // Λ = 2 is the outflow of (2, 0) itself, so one jump moves all of
+        // its mass to (1, 1); 1e-300 is still a normal number.
+        let (window, flushed) = matrix.jump(&v, 0..1, &mut out);
+        assert_eq!((window, flushed), (1..2, 0.0));
+        assert_eq!(out[1], 1e-300);
+        // A subnormal source yields only a subnormal target: flushed.
+        v[0] = 1e-310;
+        let (window, flushed) = matrix.jump(&v, 0..1, &mut out);
+        assert!(window.is_empty());
+        assert_eq!(flushed, 1e-310);
+        assert!(out.iter().all(|&p| p == 0.0));
     }
 }

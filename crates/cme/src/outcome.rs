@@ -168,6 +168,7 @@ impl<'a> FirstPassage<'a> {
         let mut undecided = 0.0f64;
         let mut escaped = 0.0f64;
         let mut sweeps_used = 0usize;
+        let mut scratch = Elimination::new(n);
 
         // Tarjan emits components sinks-first, so the reverse order is
         // topological: every component is processed after all mass bound for
@@ -186,18 +187,28 @@ impl<'a> FirstPassage<'a> {
                     continue;
                 }
             }
+            scratch.enter(component);
             if component.len() > DENSE_COMPONENT_LIMIT {
                 self.sweep_component(
                     &space,
                     component,
+                    &scratch.local,
                     &mut mass,
                     &mut undecided,
                     &mut escaped,
                     &mut sweeps_used,
                 )?;
             } else {
-                eliminate_component(&space, component, &mut mass, &mut undecided, &mut escaped);
+                eliminate_component(
+                    &mut scratch,
+                    &space,
+                    component,
+                    &mut mass,
+                    &mut undecided,
+                    &mut escaped,
+                );
             }
+            scratch.leave(component);
         }
 
         Ok(OutcomeDistribution {
@@ -219,21 +230,21 @@ impl<'a> FirstPassage<'a> {
     /// deltas, the remaining error is bounded by `δ·ρ/(1−ρ)`, so a
     /// slowly-mixing component (ρ → 1) keeps sweeping until the *true*
     /// error — not just the increment — is below the tolerance.
+    ///
+    /// `local` maps each member of `component` to its position in it and
+    /// every other state to `NOT_LOCAL`.
+    #[allow(clippy::too_many_arguments)]
     fn sweep_component(
         &self,
         space: &StateSpace,
         component: &[usize],
+        local: &[usize],
         mass: &mut [f64],
         undecided: &mut f64,
         escaped: &mut f64,
         sweeps_used: &mut usize,
     ) -> Result<(), CmeError> {
         let k = component.len();
-        let local: std::collections::HashMap<usize, usize> = component
-            .iter()
-            .enumerate()
-            .map(|(local, &i)| (i, local))
-            .collect();
         // A closed recurrent component traps its mass forever: the
         // expected-visits equation has no finite solution there, so detect
         // it up front (the dense path does the same through zero-outflow
@@ -243,7 +254,7 @@ impl<'a> FirstPassage<'a> {
             .map(|&i| {
                 space
                     .transitions(i)
-                    .filter(|(j, _)| !local.contains_key(j))
+                    .filter(|&(j, _)| local[j] == NOT_LOCAL)
                     .map(|(_, rate)| rate)
                     .sum::<f64>()
                     + space.leak_rate(i)
@@ -261,8 +272,8 @@ impl<'a> FirstPassage<'a> {
         for (row, &i) in component.iter().enumerate() {
             let outflow = space.total_outflow(i);
             for (j, rate) in space.transitions(i) {
-                if let Some(&col) = local.get(&j) {
-                    incoming[col].push((row, rate / outflow));
+                if local[j] != NOT_LOCAL {
+                    incoming[local[j]].push((row, rate / outflow));
                 }
             }
         }
@@ -306,7 +317,7 @@ impl<'a> FirstPassage<'a> {
             }
             let outflow = space.total_outflow(i);
             for (j, rate) in space.transitions(i) {
-                if !local.contains_key(&j) {
+                if local[j] == NOT_LOCAL {
                     mass[j] += u[row] * rate / outflow;
                 }
             }
@@ -316,8 +327,59 @@ impl<'a> FirstPassage<'a> {
     }
 }
 
+/// Marks a state outside the component being solved.
+const NOT_LOCAL: usize = usize::MAX;
+
+/// Scratch space for the component loop of one solve, reused across
+/// components: most spaces condense into thousands of tiny components
+/// (Example 1's into ~20 000 singletons), so per-component maps and
+/// buffers would cost more than the elimination itself.
+struct Elimination {
+    /// Position of each state within the current component, `NOT_LOCAL`
+    /// for every state outside it.
+    local: Vec<usize>,
+    /// Internal rates (dense, k × k with k ≤ `DENSE_COMPONENT_LIMIT`).
+    internal: Vec<f64>,
+    /// External edge lists per member, sorted by target for determinism.
+    external: Vec<Vec<(usize, f64)>>,
+    /// Leak rate per member.
+    leak: Vec<f64>,
+    /// Mass sitting on each member.
+    local_mass: Vec<f64>,
+    /// Members already folded out.
+    eliminated: Vec<bool>,
+}
+
+impl Elimination {
+    fn new(states: usize) -> Self {
+        Elimination {
+            local: vec![NOT_LOCAL; states],
+            internal: Vec::new(),
+            external: Vec::new(),
+            leak: Vec::new(),
+            local_mass: Vec::new(),
+            eliminated: Vec::new(),
+        }
+    }
+
+    /// Makes `component` the current component.
+    fn enter(&mut self, component: &[usize]) {
+        for (row, &i) in component.iter().enumerate() {
+            self.local[i] = row;
+        }
+    }
+
+    /// Returns `component`'s members to `NOT_LOCAL`.
+    fn leave(&mut self, component: &[usize]) {
+        for &i in component {
+            self.local[i] = NOT_LOCAL;
+        }
+    }
+}
+
 /// Pushes the probability mass sitting on one strongly connected component
-/// out to its successors by exact state elimination.
+/// out to its successors by exact state elimination, working in the
+/// buffers of `scratch`, whose `local` map must hold `component`.
 ///
 /// This is Gaussian elimination in Grassmann–Taksar–Heyman form: every
 /// update is an addition of non-negative rates or a division by a positive
@@ -332,6 +394,7 @@ impl<'a> FirstPassage<'a> {
 /// whose total outflow is zero (a dead end, or the last state of a closed
 /// recurrent class) keeps its mass forever: it is added to `undecided`.
 fn eliminate_component(
+    scratch: &mut Elimination,
     space: &StateSpace,
     component: &[usize],
     mass: &mut [f64],
@@ -339,22 +402,31 @@ fn eliminate_component(
     escaped: &mut f64,
 ) {
     let k = component.len();
-    let local: std::collections::HashMap<usize, usize> = component
-        .iter()
-        .enumerate()
-        .map(|(local, &i)| (i, local))
-        .collect();
-    // Internal rates (dense, k ≤ DENSE_COMPONENT_LIMIT), external edge
-    // lists (sorted vectors for determinism) and leak per member.
-    let mut internal = vec![0.0f64; k * k];
-    let mut external: Vec<Vec<(usize, f64)>> = vec![Vec::new(); k];
-    let mut leak: Vec<f64> = Vec::with_capacity(k);
-    let mut local_mass: Vec<f64> = Vec::with_capacity(k);
+    let Elimination {
+        local,
+        internal,
+        external,
+        leak,
+        local_mass,
+        eliminated,
+    } = scratch;
+    internal.clear();
+    internal.resize(k * k, 0.0);
+    if external.len() < k {
+        external.resize_with(k, Vec::new);
+    }
+    for edges in &mut external[..k] {
+        edges.clear();
+    }
+    leak.clear();
+    local_mass.clear();
+    eliminated.clear();
+    eliminated.resize(k, false);
     for (row, &i) in component.iter().enumerate() {
         for (j, rate) in space.transitions(i) {
-            match local.get(&j) {
-                Some(&col) => internal[row * k + col] += rate,
-                None => add_edge(&mut external[row], j, rate),
+            match local[j] {
+                NOT_LOCAL => add_edge(&mut external[row], j, rate),
+                col => internal[row * k + col] += rate,
             }
         }
         leak.push(space.leak_rate(i));
@@ -362,7 +434,6 @@ fn eliminate_component(
         mass[i] = 0.0;
     }
 
-    let mut eliminated = vec![false; k];
     for step in 0..k {
         eliminated[step] = true;
         let internal_out: f64 = (0..k)
@@ -389,9 +460,10 @@ fn eliminate_component(
             }
             *escaped += m * leak[step] / total;
         }
-        // Fold the state out: redirect every remaining i → step edge. The
-        // eliminated state's edge list is dead after this, so move it out
-        // once instead of borrowing `external` at two indices in the loop.
+        // Fold the state out: redirect every remaining i → step edge.
+        // Move the eliminated state's edge list out instead of borrowing
+        // `external` at two indices in the loop, then put it back so its
+        // allocation serves the next component.
         let step_edges = std::mem::take(&mut external[step]);
         let step_leak = leak[step];
         for i in (0..k).filter(|&i| !eliminated[i]) {
@@ -409,6 +481,7 @@ fn eliminate_component(
             }
             leak[i] += f * step_leak;
         }
+        external[step] = step_edges;
     }
 }
 
@@ -447,7 +520,7 @@ pub(crate) fn strongly_connected_components(space: &StateSpace) -> Vec<Vec<usize
         stack.push(root);
         on_stack[root] = true;
         while let Some(&(v, edge)) = frames.last() {
-            let successor = space.transitions(v).nth(edge).map(|(j, _)| j);
+            let successor = space.successors(v).get(edge).copied();
             match successor {
                 Some(w) => {
                     frames.last_mut().expect("frame exists").1 += 1;
@@ -697,6 +770,62 @@ mod tests {
             distribution.probability("full")
         );
         assert!(distribution.sweeps() > 0, "iterative fallback used");
+    }
+
+    #[test]
+    fn cyclic_components_of_every_size_share_one_solve() {
+        // One molecule walking rings of 7, 3, 2 and 300 states, each ring a
+        // strongly connected component and each exit leading downstream, so
+        // one solve eliminates a large component before smaller ones and
+        // sweeps one above the dense limit. Buffers left dirty by an earlier
+        // component would misroute mass in a later one.
+        let mut text = String::from("s -> a0 @ 1\ns -> b0 @ 2\n");
+        for (ring, size, forward, backward) in [
+            ("a", 7, 3.0, 1.0),
+            ("b", 3, 1.0, 2.0),
+            ("c", 2, 4.0, 4.0),
+            ("d", 300, 1.0, 1.2),
+        ] {
+            for i in 0..size {
+                let j = (i + 1) % size;
+                text += &format!("{ring}{i} -> {ring}{j} @ {forward}\n");
+                text += &format!("{ring}{j} -> {ring}{i} @ {backward}\n");
+            }
+        }
+        text += "a3 -> c0 @ 0.5\na5 -> d0 @ 0.25\nb1 -> c0 @ 1\nb2 -> lose @ 0.1\n";
+        text += "c1 -> d0 @ 1\nc0 -> win @ 0.3\n";
+        for i in (0..300).step_by(5) {
+            let outcome = if i % 10 == 0 { "win" } else { "lose" };
+            text += &format!("d{i} -> {outcome} @ 0.05\n");
+        }
+        let crn: Crn = text.parse().unwrap();
+        let initial = crn.state_from_counts([("s", 1)]).unwrap();
+        let bounds = PopulationBounds::strict(1);
+        let distribution = FirstPassage::new(&crn)
+            .outcome_species_at_least("win", "win", 1)
+            .unwrap()
+            .outcome_species_at_least("lose", "lose", 1)
+            .unwrap()
+            .solve(&initial, &bounds)
+            .unwrap();
+        assert_eq!(distribution.states(), 1 + 7 + 3 + 2 + 300 + 2);
+        assert!(distribution.sweeps() > 0, "the 300-state ring is swept");
+        assert_eq!(
+            (distribution.undecided(), distribution.escaped()),
+            (0.0, 0.0)
+        );
+        let total: f64 = distribution.probabilities().iter().sum();
+        assert!((total - 1.0).abs() < 1e-12, "total {total}");
+        // An independent oracle: the dense `I − T` solve of the checker.
+        let oracle = crate::Checker::new(&crn, initial, bounds)
+            .hitting_time_species("win", 1)
+            .unwrap();
+        assert!(
+            (distribution.probability("win") - oracle.probability).abs() < 1e-10,
+            "{} vs {}",
+            distribution.probability("win"),
+            oracle.probability
+        );
     }
 
     #[test]

@@ -245,6 +245,12 @@ impl StateSpace {
             .zip(self.edge_rate[range].iter().copied())
     }
 
+    /// Returns the target indices of the outgoing transitions of the state
+    /// at `index`, in the order of [`transitions`](Self::transitions).
+    pub(crate) fn successors(&self, index: usize) -> &[usize] {
+        &self.edge_target[self.edge_ptr[index]..self.edge_ptr[index + 1]]
+    }
+
     /// Returns the total rate flowing from the state at `index` out of the
     /// retained window (always 0 under strict bounds).
     pub fn leak_rate(&self, index: usize) -> f64 {

@@ -193,6 +193,48 @@ fn exact_endpoint_serves_first_passage_probabilities() {
     handle.join();
 }
 
+/// A transient whose uniformization series would run for `Λt = 1e12`
+/// terms is refused before any work with the typed series-budget error,
+/// and the daemon's only worker is free for the next request.
+#[test]
+fn overlong_transients_are_refused_and_the_daemon_keeps_serving() {
+    let mut config = test_config();
+    config.workers = 1;
+    let handle = serve(config).expect("bind");
+    let client = Client::new(handle.addr()).expect("client");
+    let request = "{\"network\":\"a -> b @ 1\\nb -> a @ 1\",\"initial\":{\"a\":1},\
+        \"bounds\":{\"policy\":\"strict\",\"default_cap\":1},\
+        \"analysis\":{\"type\":\"transient\",\"t\":1e12},\"wait\":true}";
+    let started = std::time::Instant::now();
+    let reply = client.post("/exact", request).expect("round trip");
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(500), "took {elapsed:?}");
+    assert_eq!(reply.status, 500, "body: {}", reply.body);
+    assert_eq!(reply.header("x-job-state"), Some("failed"));
+    let body = service::json::parse(&reply.body).expect("valid JSON body");
+    let error = body
+        .get("error")
+        .expect("error")
+        .as_str("error")
+        .expect("text");
+    assert!(
+        error.contains("Λt = 1.000e12") && error.contains("budget of 1e9"),
+        "error: {error}"
+    );
+
+    let coin = "{\"network\":\"x -> heads @ 3\\nx -> tails @ 1\",\
+        \"initial\":{\"x\":1},\
+        \"bounds\":{\"policy\":\"strict\",\"default_cap\":1},\
+        \"analysis\":{\"type\":\"first_passage\",\"outcomes\":[\
+        {\"name\":\"heads\",\"species\":\"heads\",\"at_least\":1}]},\
+        \"wait\":true}";
+    let next = client.post("/exact", coin).expect("next round trip");
+    assert_eq!(next.status, 200, "body: {}", next.body);
+
+    handle.shutdown(Duration::from_secs(2));
+    handle.join();
+}
+
 /// Async lifecycle: submit without `wait`, poll to completion, then cancel
 /// a long job and watch its worker slot go to the next job.
 #[test]

@@ -15,9 +15,10 @@
 //! Results are printed to stdout and appended to a `BENCH_<suite>.json`
 //! baseline file in the workspace root (override the directory with the
 //! `BENCH_OUTPUT_DIR` environment variable), so perf regressions are
-//! diffable run-to-run. Swapping in real criterion later is a
-//! `[workspace.dependencies]` edit; the JSON baseline format is this shim's
-//! own, documented in the workspace README.
+//! diffable run-to-run. Each file also records the machine it was taken on
+//! (logical CPUs, CPU model, `rustc -V`). Swapping in real criterion later
+//! is a `[workspace.dependencies]` edit; the JSON baseline format is this
+//! shim's own, documented in the workspace README.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -321,15 +322,61 @@ fn json_escape(s: &str) -> String {
         .collect()
 }
 
+/// The machine a run was recorded on: logical CPUs, CPU model and compiler
+/// version, so a baseline can be told apart from a run on other hardware.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Machine {
+    /// Logical CPUs available to the process.
+    nproc: usize,
+    /// CPU model name (`/proc/cpuinfo`), or `unknown`.
+    cpu: String,
+    /// Output of `rustc -V`, or `unknown`.
+    rustc: String,
+}
+
+impl Machine {
+    /// Fingerprints the machine this process runs on.
+    fn current() -> Self {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|line| line.starts_with("model name"))
+                    .and_then(|line| line.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        let rustc = std::process::Command::new("rustc")
+            .arg("-V")
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string());
+        Machine {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu,
+            rustc,
+        }
+    }
+}
+
 fn write_baseline(
     path: &std::path::Path,
     suite: &str,
     records: &[BenchRecord],
 ) -> std::io::Result<()> {
+    let machine = Machine::current();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"suite\": \"{}\",\n", json_escape(suite)));
     out.push_str("  \"unit\": \"ns_per_iter\",\n");
+    out.push_str(&format!(
+        "  \"machine\": {{\"nproc\": {}, \"cpu\": \"{}\", \"rustc\": \"{}\"}},\n",
+        machine.nproc,
+        json_escape(&machine.cpu),
+        json_escape(&machine.rustc)
+    ));
     out.push_str("  \"benchmarks\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
@@ -401,6 +448,25 @@ mod tests {
         assert_eq!(c.records.len(), 2);
         assert_eq!(c.records[0].id, "g/one");
         assert_eq!(c.records[1].id, "g/7");
+    }
+
+    #[test]
+    fn baselines_carry_the_machine_fingerprint() {
+        let machine = Machine::current();
+        assert!(machine.nproc >= 1);
+        assert!(!machine.cpu.is_empty() && !machine.rustc.is_empty());
+        let dir = std::env::temp_dir().join(format!("criterion-shim-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_unit.json");
+        let record = summarize("unit/one".to_string(), 1, vec![1.0]);
+        write_baseline(&path, "unit", &[record]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            text.contains(&format!("\"nproc\": {}", machine.nproc)),
+            "{text}"
+        );
+        assert!(text.contains("\"rustc\": \""), "{text}");
     }
 
     #[test]
