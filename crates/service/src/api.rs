@@ -1,12 +1,15 @@
-//! Request parsing, canonical cache keys and response rendering.
+//! Request parsing, canonical request documents and response rendering.
 //!
 //! Every endpoint's request is parsed into a typed struct up front
-//! (validation errors become `400`s before any work is scheduled), reduced
-//! to a *canonical key string* for the result cache, and executed against
-//! the workspace crates. Canonicalisation goes through the parsed form —
-//! `crn::Crn::to_text`, species resolved to ids, fields in a fixed order —
-//! so two requests that differ only in whitespace, key order or comments
-//! hash to the same result.
+//! (validation errors become `400`s before any work is scheduled), rendered
+//! back into one *canonical request document*, and executed against the
+//! workspace crates. The document goes through the parsed form — the
+//! comment-free network text of `crn::Crn::to_text`, nonzero initial counts
+//! in species order, fields in a fixed order — so two requests that differ
+//! only in whitespace, key order or comments share it. The endpoint tag
+//! plus the document is the result-cache key, and the document plus
+//! `wait: true` (and, for a simulate shard, the resolved method and a
+//! `range`) is the body a fabric coordinator posts to a worker.
 
 use cme::{Checker, FirstPassage, PopulationBounds, StateSpace};
 use crn::{Crn, State};
@@ -106,27 +109,9 @@ impl SimulateRequest {
                 .enumerate()
             {
                 let what = format!("classifier[{i}]");
-                let species = rule
-                    .get("species")
-                    .ok_or_else(|| bad(format!("{what} missing `species`")))?
-                    .as_str(&what)
-                    .map_err(bad)?
-                    .to_string();
-                if crn.species_id(&species).is_none() {
-                    return Err(bad(format!("{what}: unknown species `{species}`")));
-                }
-                let threshold = rule
-                    .get("at_least")
-                    .ok_or_else(|| bad(format!("{what} missing `at_least`")))?
-                    .as_u64(&what)
-                    .map_err(bad)?;
-                let outcome = rule
-                    .get("outcome")
-                    .ok_or_else(|| bad(format!("{what} missing `outcome`")))?
-                    .as_str(&what)
-                    .map_err(bad)?
-                    .to_string();
-                rules.push((species, threshold, outcome));
+                let target = CheckTarget::parse(rule, &what, &crn)?;
+                let outcome = text_field(rule, "outcome", &what)?;
+                rules.push((target.species, target.at_least, outcome));
             }
         }
         let priority = parse_priority(body)?;
@@ -169,43 +154,55 @@ impl SimulateRequest {
         })
     }
 
-    /// The canonical cache key: every field that determines the result, in
-    /// a fixed order, with the network in its canonical label-free text
-    /// form.
-    ///
-    /// An `auto` request keys on `method=auto(<resolved>)`: the resolved
-    /// kind is a pure function of the network and initial state (already
-    /// part of the key), so replays are byte-identical — and the key stays
-    /// distinct from an explicit request for the same concrete kind, whose
-    /// response body differs (no `classifier_report`).
-    pub fn cache_key(&self) -> String {
-        let method = if self.method == StepperKind::Auto {
-            format!("auto({})", self.resolved.name())
-        } else {
-            self.method.name().to_string()
-        };
-        let mut key = format!(
-            "simulate|v1|{}|initial={}|method={}|trials={}|seed={}|stop={}|max_events={}|rules={}",
-            canon_network(&self.crn),
-            canon_state(&self.crn, &self.initial),
-            method,
-            self.trials,
-            self.seed,
-            canon_stop(&self.stop),
-            self.max_events,
-            self.rules
-                .iter()
-                .map(|(s, t, o)| format!("{s}>={t}=>{o}"))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        if let Some((start, end)) = self.range {
-            // Shard results are cached at shard granularity on the workers:
-            // the same range of the same job replays byte-for-byte, while
-            // different shardings of one job stay distinct entries.
-            key.push_str(&format!("|range={start}..{end}"));
+    /// The request's canonical document: every field that determines the
+    /// result, in a fixed order, with the network as its label-free text and
+    /// the initial state as its nonzero counts. It is itself a valid request
+    /// body, and `method` and `range` are supplied by the caller: the cache
+    /// key renders the requested method, the shard body the resolved one.
+    fn document(&self, method: StepperKind, range: Option<(u64, u64)>) -> Json {
+        let classifier = self
+            .rules
+            .iter()
+            .map(|(species, threshold, outcome)| {
+                Json::object([
+                    ("species", Json::str(species.clone())),
+                    ("at_least", Json::count(*threshold)),
+                    ("outcome", Json::str(outcome.clone())),
+                ])
+            })
+            .collect();
+        let mut members = vec![
+            ("network", Json::str(self.crn.to_text())),
+            ("initial", render_state(&self.crn, &self.initial)),
+            ("method", Json::str(method.name())),
+            ("trials", Json::count(self.trials)),
+            ("seed", Json::count(self.seed)),
+            ("stop", render_stop(&self.crn, &self.stop)),
+            ("max_events", Json::count(self.max_events)),
+            ("classifier", Json::Array(classifier)),
+        ];
+        if let Some((start, end)) = range {
+            members.push((
+                "range",
+                Json::Array(vec![Json::count(start), Json::count(end)]),
+            ));
         }
-        key
+        Json::object(members)
+    }
+
+    /// The cache key: the endpoint tag plus the canonical document.
+    ///
+    /// An `auto` request keys on `method: auto`. The resolved kind is a pure
+    /// function of the network and initial state, which the key already
+    /// holds, so replays are byte-identical. The key stays distinct from an
+    /// explicit request for the same concrete kind, whose response body
+    /// differs (no `classifier_report`). A shard request keys on its
+    /// `range`, so workers cache shards at shard granularity.
+    pub fn cache_key(&self) -> String {
+        format!(
+            "simulate{}",
+            self.document(self.method, self.range).render()
+        )
     }
 
     /// Builds the classifier from the parsed rules.
@@ -284,52 +281,13 @@ impl SimulateRequest {
         Json::object(members).render()
     }
 
-    /// Re-renders this request as the canonical JSON body a coordinator
-    /// sends to a worker for one shard. The method is the *resolved*
-    /// concrete kind — classification happened once on the coordinator, so
-    /// every worker runs the same stepper without re-measuring the network —
-    /// and `wait` is forced so the shard's partial comes back in-band.
+    /// The body a coordinator posts to a worker for one shard: the canonical
+    /// document with the *resolved* method, `range` and `wait: true`.
+    /// Classification happened once, on the coordinator, so every worker
+    /// runs the same stepper without re-measuring the network, and the
+    /// worker's parse of this body re-renders to the same bytes.
     pub fn to_wire(&self, range: (u64, u64)) -> String {
-        let initial: Vec<(String, Json)> = self
-            .crn
-            .species()
-            .iter()
-            .filter_map(|species| {
-                let count = self.initial.count(species.id());
-                (count > 0).then(|| (species.name().to_string(), Json::count(count)))
-            })
-            .collect();
-        let classifier: Vec<Json> = self
-            .rules
-            .iter()
-            .map(|(species, threshold, outcome)| {
-                Json::object([
-                    ("species", Json::str(species.clone())),
-                    ("at_least", Json::count(*threshold)),
-                    ("outcome", Json::str(outcome.clone())),
-                ])
-            })
-            .collect();
-        let mut members = vec![
-            ("network", Json::str(self.crn.to_text())),
-            ("initial", Json::Object(initial)),
-            ("method", Json::str(self.resolved.name())),
-            ("trials", Json::count(self.trials)),
-            ("seed", Json::count(self.seed)),
-            ("stop", render_stop(&self.crn, &self.stop)),
-            ("max_events", Json::count(self.max_events)),
-        ];
-        if !classifier.is_empty() {
-            members.push(("classifier", Json::Array(classifier)));
-        }
-        members.extend([
-            ("wait", Json::Bool(true)),
-            (
-                "range",
-                Json::Array(vec![Json::count(range.0), Json::count(range.1)]),
-            ),
-        ]);
-        Json::object(members).render()
+        with_wait(self.document(self.resolved, Some(range)))
     }
 
     /// Renders a shard's partial as its wire document. Exact accumulators
@@ -438,6 +396,45 @@ pub enum ExactAnalysis {
     },
 }
 
+impl ExactAnalysis {
+    /// The analysis as the request JSON [`ExactRequest::parse`] accepts.
+    fn document(&self) -> Json {
+        match self {
+            ExactAnalysis::FirstPassage { outcomes } => Json::object([
+                ("type", Json::str("first_passage")),
+                (
+                    "outcomes",
+                    Json::Array(
+                        outcomes
+                            .iter()
+                            .map(|(name, species, at_least)| {
+                                Json::object([
+                                    ("name", Json::str(name.clone())),
+                                    ("species", Json::str(species.clone())),
+                                    ("at_least", Json::count(*at_least)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+            ExactAnalysis::Transient {
+                t,
+                tolerance,
+                species,
+            } => Json::object([
+                ("type", Json::str("transient")),
+                ("t", Json::num(*t)),
+                ("tolerance", Json::num(*tolerance)),
+                (
+                    "species",
+                    Json::Array(species.iter().map(|s| Json::str(s.clone())).collect()),
+                ),
+            ]),
+        }
+    }
+}
+
 /// A parsed `POST /exact` request.
 #[derive(Debug, Clone)]
 pub struct ExactRequest {
@@ -447,15 +444,15 @@ pub struct ExactRequest {
     pub initial: State,
     /// Population bounds for the state-space enumeration.
     pub bounds: PopulationBounds,
-    /// Canonical rendering of the bounds (kept from parse time because
-    /// [`PopulationBounds`] is consumed opaquely).
-    bounds_canonical: String,
     /// The requested analysis.
     pub analysis: ExactAnalysis,
     /// Scheduling priority.
     pub priority: u8,
     /// Whether to block until done.
     pub wait: bool,
+    /// The canonical request document, built at parse time: the only time
+    /// the bounds' settings are visible ([`PopulationBounds`] is opaque).
+    document: Json,
 }
 
 impl ExactRequest {
@@ -467,7 +464,7 @@ impl ExactRequest {
     pub fn parse(body: &Json) -> Result<ExactRequest, ServiceError> {
         let crn = parse_network_field(body)?;
         let initial = parse_initial(body, &crn)?;
-        let (bounds, bounds_canonical) =
+        let (bounds, bounds_document) =
             parse_bounds(body.get("bounds").ok_or_else(|| bad("missing `bounds`"))?)?;
         let analysis_value = body
             .get("analysis")
@@ -489,27 +486,9 @@ impl ExactRequest {
                     .enumerate()
                 {
                     let what = format!("analysis.outcomes[{i}]");
-                    let name = outcome
-                        .get("name")
-                        .ok_or_else(|| bad(format!("{what} missing `name`")))?
-                        .as_str(&what)
-                        .map_err(bad)?
-                        .to_string();
-                    let species = outcome
-                        .get("species")
-                        .ok_or_else(|| bad(format!("{what} missing `species`")))?
-                        .as_str(&what)
-                        .map_err(bad)?
-                        .to_string();
-                    if crn.species_id(&species).is_none() {
-                        return Err(bad(format!("{what}: unknown species `{species}`")));
-                    }
-                    let at_least = outcome
-                        .get("at_least")
-                        .ok_or_else(|| bad(format!("{what} missing `at_least`")))?
-                        .as_u64(&what)
-                        .map_err(bad)?;
-                    outcomes.push((name, species, at_least));
+                    let name = text_field(outcome, "name", &what)?;
+                    let target = CheckTarget::parse(outcome, &what, &crn)?;
+                    outcomes.push((name, target.species, target.at_least));
                 }
                 if outcomes.is_empty() {
                     return Err(bad("first_passage analysis needs at least one outcome"));
@@ -517,14 +496,15 @@ impl ExactRequest {
                 ExactAnalysis::FirstPassage { outcomes }
             }
             "transient" => {
-                let t = analysis_value
-                    .get("t")
-                    .ok_or_else(|| bad("transient analysis missing `t`"))?
-                    .as_f64("analysis.t")
-                    .map_err(bad)?;
+                let t = finite(
+                    analysis_value
+                        .get("t")
+                        .ok_or_else(|| bad("transient analysis missing `t`"))?,
+                    "analysis.t",
+                )?;
                 let tolerance = match analysis_value.get("tolerance") {
                     None => 1e-12,
-                    Some(value) => value.as_f64("analysis.tolerance").map_err(bad)?,
+                    Some(value) => finite(value, "analysis.tolerance")?,
                 };
                 let mut species = Vec::new();
                 if let Some(value) = analysis_value.get("species") {
@@ -548,43 +528,26 @@ impl ExactRequest {
                 )))
             }
         };
+        let document = model_document(
+            &crn,
+            &initial,
+            bounds_document,
+            ("analysis", analysis.document()),
+        );
         Ok(ExactRequest {
             crn,
             initial,
             bounds,
-            bounds_canonical,
             analysis,
             priority: parse_priority(body)?,
             wait: opt_bool(body, "wait")?.unwrap_or(false),
+            document,
         })
     }
 
-    /// The canonical cache key.
+    /// The cache key: the endpoint tag plus the canonical document.
     pub fn cache_key(&self) -> String {
-        let analysis = match &self.analysis {
-            ExactAnalysis::FirstPassage { outcomes } => format!(
-                "first_passage:{}",
-                outcomes
-                    .iter()
-                    .map(|(n, s, t)| format!("{n}={s}>={t}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-            ExactAnalysis::Transient {
-                t,
-                tolerance,
-                species,
-            } => format!(
-                "transient:t={t}:tol={tolerance}:species={}",
-                species.join(",")
-            ),
-        };
-        format!(
-            "exact|v1|{}|initial={}|bounds={}|analysis={analysis}",
-            canon_network(&self.crn),
-            canon_state(&self.crn, &self.initial),
-            self.bounds_canonical,
-        )
+        format!("exact{}", self.document.render())
     }
 
     /// Runs the analysis and renders the result body.
@@ -668,7 +631,8 @@ impl ExactRequest {
 }
 
 /// A threshold predicate — `species` holding at least `at_least` copies —
-/// the uniform target language of every `/check` property kind.
+/// the uniform target language of every `/check` property kind, of
+/// `/simulate` classifier rules and of `/exact` first-passage outcomes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckTarget {
     /// The species the predicate counts.
@@ -679,12 +643,7 @@ pub struct CheckTarget {
 
 impl CheckTarget {
     fn parse(value: &Json, what: &str, crn: &Crn) -> Result<CheckTarget, ServiceError> {
-        let species = value
-            .get("species")
-            .ok_or_else(|| bad(format!("{what} missing `species`")))?
-            .as_str(what)
-            .map_err(bad)?
-            .to_string();
+        let species = text_field(value, "species", what)?;
         if crn.species_id(&species).is_none() {
             return Err(bad(format!("{what}: unknown species `{species}`")));
         }
@@ -696,11 +655,7 @@ impl CheckTarget {
         Ok(CheckTarget { species, at_least })
     }
 
-    fn canon(&self) -> String {
-        format!("{}>={}", self.species, self.at_least)
-    }
-
-    fn render(&self) -> Json {
+    fn document(&self) -> Json {
         Json::object([
             ("species", Json::str(self.species.clone())),
             ("at_least", Json::count(self.at_least)),
@@ -773,8 +728,8 @@ impl CheckProperty {
                     return Err(bad("`property.window` must be a two-element array"));
                 }
                 let window = (
-                    items[0].as_f64("property.window[0]").map_err(bad)?,
-                    items[1].as_f64("property.window[1]").map_err(bad)?,
+                    finite(&items[0], "property.window[0]")?,
+                    finite(&items[1], "property.window[1]")?,
                 );
                 Ok(CheckProperty::ReachWithin { target, window })
             }
@@ -797,47 +752,23 @@ impl CheckProperty {
         }
     }
 
-    fn canon(&self) -> String {
-        match self {
-            CheckProperty::ReachBefore { target, competitor } => format!(
-                "reach_before:target={}:competitor={}",
-                target.canon(),
-                competitor.canon()
-            ),
-            CheckProperty::ReachWithin { target, window } => format!(
-                "reach_within:target={}:window=[{},{}]",
-                target.canon(),
-                window.0,
-                window.1
-            ),
-            CheckProperty::HittingTime { target } => {
-                format!("hitting_time:target={}", target.canon())
-            }
-            CheckProperty::Stationary { target } => {
-                format!("stationary:target={}", target.canon())
-            }
-        }
-    }
-
-    /// Renders the property back into the request JSON [`Self::parse`]
-    /// accepts — the inverse used when a coordinator re-issues a grid
-    /// point to a worker.
-    fn render_wire(&self) -> Json {
+    /// The property as the request JSON [`Self::parse`] accepts.
+    fn document(&self) -> Json {
         let mut members = vec![("type", Json::str(self.kind_name()))];
         match self {
             CheckProperty::ReachBefore { target, competitor } => {
-                members.push(("target", target.render()));
-                members.push(("competitor", competitor.render()));
+                members.push(("target", target.document()));
+                members.push(("competitor", competitor.document()));
             }
             CheckProperty::ReachWithin { target, window } => {
-                members.push(("target", target.render()));
+                members.push(("target", target.document()));
                 members.push((
                     "window",
                     Json::Array(vec![Json::num(window.0), Json::num(window.1)]),
                 ));
             }
             CheckProperty::HittingTime { target } | CheckProperty::Stationary { target } => {
-                members.push(("target", target.render()));
+                members.push(("target", target.document()));
             }
         }
         Json::object(members)
@@ -851,72 +782,54 @@ impl CheckProperty {
 pub struct CheckPoint {
     /// The parsed network.
     pub crn: Crn,
-    /// The substituted network text (what a coordinator posts to workers).
-    network_text: String,
-    /// The `initial` request field, for wire re-rendering.
-    initial_wire: Json,
-    /// The `bounds` request field, for wire re-rendering.
-    bounds_wire: Json,
     /// The initial state.
     pub initial: State,
     /// Population bounds for the state-space enumeration.
     pub bounds: PopulationBounds,
-    /// Canonical rendering of the bounds.
-    bounds_canonical: String,
     /// The property to check.
     pub property: CheckProperty,
+    /// The point's canonical document (a sweepless `/check` body), built at
+    /// parse time like [`ExactRequest`]'s.
+    document: Json,
 }
 
 impl CheckPoint {
     fn parse(network_text: &str, body: &Json) -> Result<CheckPoint, ServiceError> {
-        let crn = crn::parse_network(network_text).map_err(|e| bad(e.to_string()))?;
+        let crn = parse_network(network_text)?;
         let initial = parse_initial(body, &crn)?;
-        let bounds_value = body.get("bounds").ok_or_else(|| bad("missing `bounds`"))?;
-        let (bounds, bounds_canonical) = parse_bounds(bounds_value)?;
+        let (bounds, bounds_document) =
+            parse_bounds(body.get("bounds").ok_or_else(|| bad("missing `bounds`"))?)?;
         let property = CheckProperty::parse(
             body.get("property")
                 .ok_or_else(|| bad("missing `property`"))?,
             &crn,
         )?;
+        let document = model_document(
+            &crn,
+            &initial,
+            bounds_document,
+            ("property", property.document()),
+        );
         Ok(CheckPoint {
-            network_text: network_text.to_string(),
-            initial_wire: body
-                .get("initial")
-                .cloned()
-                .unwrap_or(Json::Object(Vec::new())),
-            bounds_wire: bounds_value.clone(),
             crn,
             initial,
             bounds,
-            bounds_canonical,
             property,
+            document,
         })
     }
 
-    /// The canonical cache key of this grid point. A worker computing the
-    /// same substituted network derives the identical key, which is what
-    /// makes the per-point cache federate across the fabric.
+    /// The cache key: the endpoint tag plus the canonical document. A
+    /// worker parsing [`to_wire`](Self::to_wire) derives the identical key,
+    /// which is what makes the per-point cache federate across the fabric.
     pub fn cache_key(&self) -> String {
-        format!(
-            "check|v1|{}|initial={}|bounds={}|property={}",
-            canon_network(&self.crn),
-            canon_state(&self.crn, &self.initial),
-            self.bounds_canonical,
-            self.property.canon(),
-        )
+        format!("check{}", self.document.render())
     }
 
-    /// The single-point `/check` body a coordinator posts to a worker:
-    /// the substituted network, no sweep, `wait: true`.
+    /// The body a coordinator posts to a worker: the canonical document
+    /// plus `wait: true`.
     pub fn to_wire(&self) -> String {
-        Json::object([
-            ("network", Json::str(self.network_text.clone())),
-            ("initial", self.initial_wire.clone()),
-            ("bounds", self.bounds_wire.clone()),
-            ("property", self.property.render_wire()),
-            ("wait", Json::Bool(true)),
-        ])
-        .render()
+        with_wait(self.document.clone())
     }
 
     /// Evaluates the property and renders the verdict document. Every kind
@@ -1048,11 +961,7 @@ impl CheckRequest {
                     .iter()
                     .enumerate()
                 {
-                    let v = item.as_f64(&format!("sweep.values[{i}]")).map_err(bad)?;
-                    if !v.is_finite() {
-                        return Err(bad(format!("sweep.values[{i}]: {v} is not finite")));
-                    }
-                    values.push(v);
+                    values.push(finite(item, &format!("sweep.values[{i}]"))?);
                 }
                 if values.is_empty() {
                     return Err(bad("`sweep.values` must not be empty"));
@@ -1090,21 +999,22 @@ impl CheckRequest {
         })
     }
 
-    /// The canonical cache key of the whole request. A sweep keys on the
-    /// parameter name plus every point key, so any change to the grid, the
-    /// template or the property re-keys the document.
+    /// The cache key of the whole request. A sweep keys on the parameter,
+    /// the grid and every point's document, so any change to the grid, the
+    /// template or the property re-keys the sweep document.
     pub fn cache_key(&self) -> String {
-        match &self.sweep {
-            None => self.points[0].cache_key(),
-            Some((parameter, _)) => format!(
-                "check_sweep|v1|parameter={parameter}|{}",
-                self.points
-                    .iter()
-                    .map(CheckPoint::cache_key)
-                    .collect::<Vec<_>>()
-                    .join(";"),
+        let Some((parameter, values)) = &self.sweep else {
+            return self.points[0].cache_key();
+        };
+        let document = Json::object([
+            ("parameter", Json::str(parameter.clone())),
+            ("values", grid(values)),
+            (
+                "points",
+                Json::Array(self.points.iter().map(|p| p.document.clone()).collect()),
             ),
-        }
+        ]);
+        format!("check_sweep{}", document.render())
     }
 
     /// Assembles the sweep document from the rendered per-point bodies, in
@@ -1130,14 +1040,16 @@ impl CheckRequest {
         Ok(Json::object([
             ("kind", Json::str("check_sweep")),
             ("parameter", Json::str(parameter.clone())),
-            (
-                "values",
-                Json::Array(values.iter().map(|&v| Json::num(v)).collect()),
-            ),
+            ("values", grid(values)),
             ("points", Json::Array(points)),
         ])
         .render())
     }
+}
+
+/// A sweep grid as its JSON array, in request order.
+fn grid(values: &[f64]) -> Json {
+    Json::Array(values.iter().map(|&v| Json::num(v)).collect())
 }
 
 /// A parsed `POST /synthesize` request.
@@ -1231,11 +1143,10 @@ impl SynthesizeRequest {
         }
         if let Some(value) = body.get("response") {
             let field = |key: &str| -> Result<f64, ServiceError> {
-                value
+                let member = value
                     .get(key)
-                    .ok_or_else(|| bad(format!("`response` missing `{key}`")))?
-                    .as_f64(&format!("response.{key}"))
-                    .map_err(bad)
+                    .ok_or_else(|| bad(format!("`response` missing `{key}`")))?;
+                finite(member, &format!("response.{key}"))
             };
             request.coefficients = (field("constant")?, field("log2")?, field("linear")?);
         } else if preset.is_none() {
@@ -1263,7 +1174,7 @@ impl SynthesizeRequest {
             request.input_range = parse_pair_u64(value, "input_range")?;
         }
         if let Some(value) = body.get("gamma") {
-            request.gamma = Some(value.as_f64("gamma").map_err(bad)?);
+            request.gamma = Some(finite(value, "gamma")?);
         }
         if let Some(value) = body.get("evaluate") {
             for item in value.as_array("evaluate").map_err(bad)? {
@@ -1277,33 +1188,37 @@ impl SynthesizeRequest {
         Ok(request)
     }
 
-    /// The canonical cache key.
+    /// The cache key: the endpoint tag plus the canonical document, which
+    /// holds every field with the preset applied.
     pub fn cache_key(&self) -> String {
-        format!(
-            "synthesize|v1|input={}|a={}|b={}|c={}|outcomes={},{}|outputs={},{}|thresholds={},{}\
-             |food={},{}|input_total={}|range={},{}|gamma={}|evaluate={}",
-            self.input,
-            self.coefficients.0,
-            self.coefficients.1,
-            self.coefficients.2,
-            self.outcomes.0,
-            self.outcomes.1,
-            self.outputs.0,
-            self.outputs.1,
-            self.thresholds.0,
-            self.thresholds.1,
-            self.food.0,
-            self.food.1,
-            self.input_total,
-            self.input_range.0,
-            self.input_range.1,
-            self.gamma.map_or("default".to_string(), |g| g.to_string()),
-            self.evaluate
-                .iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        )
+        let pair = |(a, b): (u64, u64)| Json::Array(vec![Json::count(a), Json::count(b)]);
+        let names = |(a, b): &(String, String)| {
+            Json::Array(vec![Json::str(a.clone()), Json::str(b.clone())])
+        };
+        let (constant, log2, linear) = self.coefficients;
+        let document = Json::object([
+            ("input", Json::str(self.input.clone())),
+            (
+                "response",
+                Json::object([
+                    ("constant", Json::num(constant)),
+                    ("log2", Json::num(log2)),
+                    ("linear", Json::num(linear)),
+                ]),
+            ),
+            ("outcomes", names(&self.outcomes)),
+            ("outputs", names(&self.outputs)),
+            ("thresholds", pair(self.thresholds)),
+            ("food", pair(self.food)),
+            ("input_total", Json::count(self.input_total)),
+            ("input_range", pair(self.input_range)),
+            ("gamma", self.gamma.map_or(Json::Null, Json::num)),
+            (
+                "evaluate",
+                Json::Array(self.evaluate.iter().map(|&x| Json::count(x)).collect()),
+            ),
+        ]);
+        format!("synthesize{}", document.render())
     }
 
     /// Runs the synthesis pipeline (and the exact evaluations) and renders
@@ -1371,12 +1286,45 @@ impl SynthesizeRequest {
 // ---------------------------------------------------------------------------
 
 fn parse_network_field(body: &Json) -> Result<Crn, ServiceError> {
-    let text = body
-        .get("network")
-        .ok_or_else(|| bad("missing `network`"))?
-        .as_str("network")
-        .map_err(bad)?;
-    crn::parse_network(text).map_err(|e| bad(e.to_string()))
+    parse_network(
+        body.get("network")
+            .ok_or_else(|| bad("missing `network`"))?
+            .as_str("network")
+            .map_err(bad)?,
+    )
+}
+
+/// Parses network text with its `#` comments cut off first. Comments would
+/// become reaction labels, which are documentation, not dynamics: without
+/// them `Crn::to_text` is the canonical network text, and requests that
+/// differ only in comments share one document. Lines and columns of parse
+/// errors are unchanged.
+fn parse_network(text: &str) -> Result<Crn, ServiceError> {
+    let dynamics: Vec<&str> = text
+        .lines()
+        .map(|line| line.split('#').next().unwrap_or(line))
+        .collect();
+    crn::parse_network(&dynamics.join("\n")).map_err(|e| bad(e.to_string()))
+}
+
+/// A finite number; anything else is a 400 naming `what`. A number that
+/// overflowed `f64` while parsing renders as `null` in a request document,
+/// so letting it through would give `1e999` and `-1e999` one cache key.
+fn finite(value: &Json, what: &str) -> Result<f64, ServiceError> {
+    let number = value.as_f64(what).map_err(bad)?;
+    if !number.is_finite() {
+        return Err(bad(format!("{what}: {number} is not finite")));
+    }
+    Ok(number)
+}
+
+/// The string member `key` of `value`; a missing or mistyped member is a
+/// 400 naming `what`.
+fn text_field(value: &Json, key: &str, what: &str) -> Result<String, ServiceError> {
+    let member = value
+        .get(key)
+        .ok_or_else(|| bad(format!("{what} missing `{key}`")))?;
+    Ok(member.as_str(what).map_err(bad)?.to_string())
 }
 
 fn parse_initial(body: &Json, crn: &Crn) -> Result<State, ServiceError> {
@@ -1449,13 +1397,10 @@ fn parse_stop(value: &Json, crn: &Crn) -> Result<StopCondition, ServiceError> {
         .map_err(bad)?;
     match kind {
         "exhaustion" => Ok(StopCondition::Exhaustion),
-        "time" => Ok(StopCondition::Time(
-            value
-                .get("t")
-                .ok_or_else(|| bad("time stop missing `t`"))?
-                .as_f64("stop.t")
-                .map_err(bad)?,
-        )),
+        "time" => Ok(StopCondition::Time(finite(
+            value.get("t").ok_or_else(|| bad("time stop missing `t`"))?,
+            "stop.t",
+        )?)),
         "events" => Ok(StopCondition::Events(
             value
                 .get("n")
@@ -1546,7 +1491,9 @@ fn parse_pair_u64(value: &Json, what: &str) -> Result<(u64, u64), ServiceError> 
     ))
 }
 
-fn parse_bounds(value: &Json) -> Result<(PopulationBounds, String), ServiceError> {
+/// Parses the `bounds` field into the bounds and their canonical document
+/// (caps sorted by species).
+fn parse_bounds(value: &Json) -> Result<(PopulationBounds, Json), ServiceError> {
     let policy = match value.get("policy") {
         None => "strict",
         Some(v) => v.as_str("bounds.policy").map_err(bad)?,
@@ -1578,53 +1525,55 @@ fn parse_bounds(value: &Json) -> Result<(PopulationBounds, String), ServiceError
     for (name, cap) in &caps {
         bounds = bounds.cap(name.clone(), *cap);
     }
-    let max_states = opt_u64(value, "max_states")?;
-    if let Some(max_states) = max_states {
+    let mut document = vec![
+        ("policy", Json::str(policy)),
+        ("default_cap", Json::count(default_cap)),
+        (
+            "caps",
+            Json::Object(caps.into_iter().map(|(n, c)| (n, Json::count(c))).collect()),
+        ),
+    ];
+    if let Some(max_states) = opt_u64(value, "max_states")? {
         bounds = bounds.max_states(max_states as usize);
+        document.push(("max_states", Json::count(max_states)));
     }
-    let canonical = format!(
-        "{policy}:{default_cap}:caps={}:max_states={}",
-        caps.iter()
-            .map(|(n, c)| format!("{n}={c}"))
-            .collect::<Vec<_>>()
-            .join(","),
-        max_states.map_or("default".to_string(), |m| m.to_string()),
-    );
-    Ok((bounds, canonical))
+    Ok((bounds, Json::object(document)))
 }
 
-/// Renders a network canonically for cache keys: one reaction per line in
-/// the standard notation, with reaction *labels* stripped — labels are
-/// documentation, not dynamics, so two networks differing only in comments
-/// must hash identically.
-fn canon_network(crn: &Crn) -> String {
-    let mut out = String::new();
-    for reaction in crn.reactions() {
-        let rendered = crn.render_reaction(reaction);
-        // `render_reaction` appends labels as `  # label`.
-        let dynamics = rendered.split("  # ").next().unwrap_or(&rendered);
-        out.push_str(dynamics);
-        out.push('\n');
+/// The canonical document of an exact model (`/exact`, `/check`): network,
+/// initial state and bounds, plus the request's `query` member.
+fn model_document(crn: &Crn, initial: &State, bounds: Json, query: (&'static str, Json)) -> Json {
+    Json::object([
+        ("network", Json::str(crn.to_text())),
+        ("initial", render_state(crn, initial)),
+        ("bounds", bounds),
+        query,
+    ])
+}
+
+/// Renders a state as its nonzero `name: count` members in species order.
+fn render_state(crn: &Crn, state: &State) -> Json {
+    Json::Object(
+        crn.species()
+            .iter()
+            .filter_map(|species| {
+                let count = state.count(species.id());
+                (count > 0).then(|| (species.name().to_string(), Json::count(count)))
+            })
+            .collect(),
+    )
+}
+
+/// Renders a wire body: `document` plus `wait: true`, so the worker answers
+/// in-band.
+fn with_wait(mut document: Json) -> String {
+    if let Json::Object(members) = &mut document {
+        members.push(("wait".to_string(), Json::Bool(true)));
     }
-    out
+    document.render()
 }
 
-/// Renders a state canonically as `name=count` pairs in species-id order,
-/// omitting zeros.
-fn canon_state(crn: &Crn, state: &State) -> String {
-    crn.species()
-        .iter()
-        .filter_map(|species| {
-            let count = state.count(species.id());
-            (count > 0).then(|| format!("{}={count}", species.name()))
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Renders a stop condition back into the request JSON [`parse_stop`]
-/// accepts — the inverse used when a coordinator re-issues a request to a
-/// worker.
+/// Renders a stop condition as the request JSON [`parse_stop`] accepts.
 fn render_stop(crn: &Crn, stop: &StopCondition) -> Json {
     let species_name = |id: &crn::SpeciesId| crn.species()[id.index()].name().to_string();
     match stop {
@@ -1660,38 +1609,6 @@ fn render_stop(crn: &Crn, stop: &StopCondition) -> Json {
         // `StopCondition` is non-exhaustive, but a `SimulateRequest` only
         // ever holds conditions `parse_stop` produced, all covered above.
         other => unreachable!("stop condition {other:?} cannot come from a parsed request"),
-    }
-}
-
-/// Renders a stop condition canonically (species by id, fixed field order).
-fn canon_stop(stop: &StopCondition) -> String {
-    match stop {
-        StopCondition::Exhaustion => "exhaustion".to_string(),
-        StopCondition::Time(t) => format!("time({t})"),
-        StopCondition::Events(n) => format!("events({n})"),
-        StopCondition::SpeciesAtLeast { species, count } => {
-            format!("at_least(s{}:{count})", species.index())
-        }
-        StopCondition::SpeciesAtMost { species, count } => {
-            format!("at_most(s{}:{count})", species.index())
-        }
-        StopCondition::AnyOf(conditions) => format!(
-            "any_of[{}]",
-            conditions
-                .iter()
-                .map(canon_stop)
-                .collect::<Vec<_>>()
-                .join(";")
-        ),
-        StopCondition::AllOf(conditions) => format!(
-            "all_of[{}]",
-            conditions
-                .iter()
-                .map(canon_stop)
-                .collect::<Vec<_>>()
-                .join(";")
-        ),
-        other => format!("{other:?}"),
     }
 }
 
@@ -1763,11 +1680,11 @@ mod tests {
         // The ensemble runs the resolved kind, never `Auto` itself.
         assert_eq!(request.ensemble_options().method, StepperKind::Direct);
 
-        // The cache key embeds the resolution — replayable, but distinct
-        // from an explicit request for the same concrete kind (the bodies
-        // differ: only `auto` carries a classifier report).
+        // The cache key keys on `auto` — replayable, but distinct from an
+        // explicit request for the same concrete kind (the bodies differ:
+        // only `auto` carries a classifier report).
         let key = request.cache_key();
-        assert!(key.contains("method=auto(direct)"), "key: {key}");
+        assert!(key.contains("\"method\":\"auto\""), "key: {key}");
         let explicit = simulate_body(
             "x -> h @ 3\nx -> t @ 1",
             ",\"initial\":{\"x\":1},\"method\":\"direct\"",
@@ -1775,7 +1692,7 @@ mod tests {
         let explicit_key = SimulateRequest::parse(&explicit).unwrap().cache_key();
         assert_ne!(key, explicit_key);
         assert!(
-            explicit_key.contains("method=direct"),
+            explicit_key.contains("\"method\":\"direct\""),
             "key: {explicit_key}"
         );
     }
@@ -1861,8 +1778,9 @@ mod tests {
         .unwrap();
         let request = SimulateRequest::parse(&body).unwrap();
         assert_eq!(
-            canon_stop(&request.stop),
-            "any_of[time(4.5);at_least(s1:3)]"
+            render_stop(&request.crn, &request.stop).render(),
+            "{\"type\":\"any_of\",\"conditions\":[{\"type\":\"time\",\"t\":4.5},\
+             {\"type\":\"species_at_least\",\"species\":\"b\",\"count\":3}]}"
         );
     }
 

@@ -18,12 +18,16 @@
 //! | `POST /fabric/workers` | Loopback-only worker registration |
 //! | `POST /shutdown` | Loopback-only graceful drain |
 //!
-//! A daemon started with fabric workers configured acts as a
-//! **coordinator**: `/simulate` ensembles are split into trial-range
-//! shards and dispatched to the pool (see [`crate::fabric`]). Any daemon
-//! answers shard requests (`"range": [start, end)`) with a partial
-//! document instead of a full report, which is also how workers cache
-//! shards for federation.
+//! Every job is a list of units — the trial ranges of an ensemble, the
+//! grid points of a sweep, or one whole solve — that run through one
+//! wrapper: it records each unit's span (`shard`, or `point` for a check
+//! point) and hands the unit to an executor, and the job's merge turns the
+//! unit outputs into the body the cache stores. A daemon started with
+//! fabric workers configured acts as a **coordinator**: its executor
+//! dispatches `/simulate` shards and `/check` sweep points to the pool (see
+//! [`crate::fabric`]); any other daemon runs the same units in-process. Any daemon answers shard requests
+//! (`"range": [start, end)`) with a partial document instead of a full
+//! report, which is also how workers cache shards for federation.
 //!
 //! Result-bearing responses carry a `cache: hit|miss` header; bodies are
 //! **byte-identical** between a fresh computation and its cached replay
@@ -34,14 +38,15 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use gillespie::{Ensemble, EnsemblePartial, SimProfile};
+use gillespie::engine::CancelToken;
+use gillespie::{Ensemble, EnsemblePartial, SimProfile, StepperKind};
 use obs::log::{event, Level, Value};
 use obs::trace::{span_id, Span, TraceContext, TraceSink};
 
-use crate::api::{CheckRequest, ExactRequest, SimulateRequest, SynthesizeRequest};
+use crate::api::{CheckPoint, CheckRequest, ExactRequest, SimulateRequest, SynthesizeRequest};
 use crate::cache::ResultCache;
 use crate::error::ServiceError;
-use crate::fabric::{Fabric, FabricConfig, ShardTrace, TRACE_HEADER};
+use crate::fabric::{outcome, plan_ranges, Fabric, FabricConfig, ShardTrace, TRACE_HEADER};
 use crate::http::{Method, Response};
 use crate::json::{self, Json};
 use crate::metrics::Metrics;
@@ -133,18 +138,15 @@ impl App {
             queue_depth: metrics.registry().gauge("scheduler_queue_depth"),
             running_jobs: metrics.registry().gauge("scheduler_running_jobs"),
             on_dequeue: Box::new(move |id, _label, wait| {
-                let trace_id = id.to_string();
                 let end_us = dequeue_sink.now_us();
                 let wait_us = u64::try_from(wait.as_micros()).unwrap_or(u64::MAX);
-                dequeue_sink.record(Span {
-                    id: span_id(&trace_id, "schedule-wait", 0),
-                    parent: Some(span_id(&trace_id, "job", 0)),
-                    trace_id,
-                    name: "schedule-wait".to_string(),
-                    start_us: end_us.saturating_sub(wait_us),
+                job_trace(&dequeue_sink, id).record_between(
+                    "schedule-wait",
+                    0,
+                    end_us.saturating_sub(wait_us),
                     end_us,
-                    attrs: Vec::new(),
-                });
+                    &[],
+                );
             }),
         };
         let fabric = config
@@ -193,102 +195,38 @@ impl App {
     }
 
     /// Builds the route table for this app. Every handler is wrapped in
-    /// [`instrumented`], which times it, maintains the per-endpoint
-    /// request/status/latency series and emits the request log events.
+    /// [`instrumented`], which renders its error, times it, maintains the
+    /// per-endpoint request/status/latency series and emits the request log
+    /// events.
     pub fn router(self: &Arc<App>) -> Router {
+        let routes: [(Method, &str, &'static str, Endpoint); 12] = [
+            (Method::Post, "/simulate", "simulate", submit_simulate),
+            (Method::Post, "/exact", "exact", submit_exact),
+            (Method::Post, "/synthesize", "synthesize", submit_synthesize),
+            (Method::Post, "/check", "check", submit_check),
+            (Method::Get, "/jobs/:id", "job_status", job_status),
+            (Method::Delete, "/jobs/:id", "job_cancel", job_cancel),
+            (Method::Get, "/healthz", "healthz", healthz),
+            (Method::Get, "/metrics", "metrics", metrics),
+            (Method::Get, "/trace/:id", "trace", trace_query),
+            (Method::Get, "/fabric", "fabric", fabric_state),
+            (
+                Method::Post,
+                "/fabric/workers",
+                "fabric_workers",
+                register_worker,
+            ),
+            (Method::Post, "/shutdown", "shutdown", shutdown),
+        ];
         let mut router = Router::new();
-        let app = Arc::clone(self);
-        router.route(
-            Method::Post,
-            "/simulate",
-            instrumented(self, "simulate", move |ctx| submit_simulate(&app, ctx)),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Post,
-            "/exact",
-            instrumented(self, "exact", move |ctx| submit_exact(&app, ctx)),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Post,
-            "/synthesize",
-            instrumented(self, "synthesize", move |ctx| submit_synthesize(&app, ctx)),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Post,
-            "/check",
-            instrumented(self, "check", move |ctx| submit_check(&app, ctx)),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Get,
-            "/jobs/:id",
-            instrumented(self, "job_status", move |ctx| job_status(&app, ctx)),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Delete,
-            "/jobs/:id",
-            instrumented(self, "job_cancel", move |ctx| job_cancel(&app, ctx)),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Get,
-            "/healthz",
-            instrumented(self, "healthz", move |_| {
-                let body = Json::object([
-                    ("status", Json::str("ok")),
-                    ("workers", Json::count(app.scheduler.stats().workers as u64)),
-                    ("uptime_ms", Json::count(app.metrics.uptime_ms())),
-                ]);
-                Response::json(200, body.render())
-            }),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Get,
-            "/metrics",
-            instrumented(self, "metrics", move |ctx| {
-                if ctx.query_param("format") == Some("text") {
-                    Response::text(200, app.render_metrics_text())
-                } else {
-                    Response::json(200, app.render_metrics())
-                }
-            }),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Get,
-            "/trace/:id",
-            instrumented(self, "trace", move |ctx| trace_query(&app, ctx)),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Get,
-            "/fabric",
-            instrumented(self, "fabric", move |_| match &app.fabric {
-                Some(fabric) => Response::json(200, fabric.render().render()),
-                None => error_response(&ServiceError::bad_request(
-                    "this daemon is not a fabric coordinator",
-                )),
-            }),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Post,
-            "/fabric/workers",
-            instrumented(self, "fabric_workers", move |ctx| {
-                register_worker(&app, ctx)
-            }),
-        );
-        let app = Arc::clone(self);
-        router.route(
-            Method::Post,
-            "/shutdown",
-            instrumented(self, "shutdown", move |ctx| shutdown(&app, ctx)),
-        );
+        for (method, path, endpoint, handler) in routes {
+            let app = Arc::clone(self);
+            router.route(
+                method,
+                path,
+                instrumented(self, endpoint, move |ctx| handler(&app, ctx)),
+            );
+        }
         router
     }
 
@@ -304,217 +242,145 @@ impl App {
         }
     }
 
-    fn render_metrics(&self) -> String {
-        let cache = self.cache.stats();
-        let scheduler = self.scheduler.stats();
-        // Per-endpoint breakdown for the four submission endpoints: request
-        // count, status classes and service-time quantiles. Additive — the
-        // legacy sections keep their exact shape.
-        let endpoints: Vec<(&str, Json)> = ["simulate", "exact", "synthesize", "check"]
-            .iter()
-            .map(|name| {
-                let series = self.metrics.endpoint(name);
-                let latency = series.latency_us.snapshot();
-                (
-                    *name,
-                    Json::object([
-                        ("requests", Json::count(series.requests.get())),
-                        ("responses_4xx", Json::count(series.responses_4xx.get())),
-                        ("responses_5xx", Json::count(series.responses_5xx.get())),
-                        (
-                            "latency_us",
-                            Json::object([
-                                ("count", Json::count(latency.count)),
-                                ("p50", Json::count(latency.p50())),
-                                ("p90", Json::count(latency.p90())),
-                                ("p99", Json::count(latency.p99())),
-                                ("max", Json::count(latency.max)),
-                            ]),
-                        ),
-                    ]),
-                )
-            })
-            .collect();
-        let mut members = Json::object([
-            ("uptime_ms", Json::count(self.metrics.uptime_ms())),
-            (
-                "http",
-                Json::object([
-                    ("requests", Json::count(self.metrics.requests.get())),
-                    (
-                        "responses_4xx",
-                        Json::count(self.metrics.responses_4xx.get()),
-                    ),
-                    (
-                        "responses_5xx",
-                        Json::count(self.metrics.responses_5xx.get()),
-                    ),
-                    (
-                        "simulate_requests",
-                        Json::count(self.metrics.simulate_requests.get()),
-                    ),
-                    (
-                        "exact_requests",
-                        Json::count(self.metrics.exact_requests.get()),
-                    ),
-                    (
-                        "synthesize_requests",
-                        Json::count(self.metrics.synthesize_requests.get()),
-                    ),
-                    (
-                        "check_requests",
-                        Json::count(self.metrics.check_requests.get()),
-                    ),
-                ]),
-            ),
-            ("endpoints", Json::object(endpoints)),
-            (
-                "auto_resolutions",
-                Json::object([
-                    (
-                        "direct",
-                        Json::count(self.metrics.auto_resolved_direct.get()),
-                    ),
-                    (
-                        "first_reaction",
-                        Json::count(self.metrics.auto_resolved_first_reaction.get()),
-                    ),
-                    (
-                        "next_reaction",
-                        Json::count(self.metrics.auto_resolved_next_reaction.get()),
-                    ),
-                    (
-                        "composition_rejection",
-                        Json::count(self.metrics.auto_resolved_composition_rejection.get()),
-                    ),
-                    (
-                        "tau_leaping",
-                        Json::count(self.metrics.auto_resolved_tau_leaping.get()),
-                    ),
-                    (
-                        "hybrid",
-                        Json::count(self.metrics.auto_resolved_hybrid.get()),
-                    ),
-                ]),
-            ),
+    /// The cache and scheduler counters, owned by their subsystems rather
+    /// than the registry, by section: the one list both `/metrics` formats
+    /// render.
+    fn subsystem_counters(&self) -> [(&'static str, CounterRows); 2] {
+        let (cache, jobs) = (self.cache.stats(), self.scheduler.stats());
+        [
             (
                 "cache",
-                Json::object([
-                    ("entries", Json::count(cache.entries as u64)),
-                    ("capacity", Json::count(cache.capacity as u64)),
-                    ("hits", Json::count(cache.hits)),
-                    ("misses", Json::count(cache.misses)),
-                    ("evictions", Json::count(cache.evictions)),
-                ]),
+                vec![
+                    ("entries", Some("entries"), cache.entries as u64),
+                    ("capacity", Some("capacity"), cache.capacity as u64),
+                    ("hits", Some("hits_total"), cache.hits),
+                    ("misses", Some("misses_total"), cache.misses),
+                    ("evictions", Some("evictions_total"), cache.evictions),
+                ],
             ),
             (
                 "scheduler",
-                Json::object([
-                    ("workers", Json::count(scheduler.workers as u64)),
-                    ("queued", Json::count(scheduler.queued as u64)),
-                    ("running", Json::count(scheduler.running as u64)),
-                    ("completed", Json::count(scheduler.completed)),
-                    ("failed", Json::count(scheduler.failed)),
-                    ("cancelled", Json::count(scheduler.cancelled)),
-                    ("rejected", Json::count(scheduler.rejected)),
-                    ("steals", Json::count(scheduler.steals)),
-                ]),
+                vec![
+                    ("workers", Some("workers"), jobs.workers as u64),
+                    ("queued", None, jobs.queued as u64),
+                    ("running", None, jobs.running as u64),
+                    ("completed", Some("jobs_completed_total"), jobs.completed),
+                    ("failed", Some("jobs_failed_total"), jobs.failed),
+                    ("cancelled", Some("jobs_cancelled_total"), jobs.cancelled),
+                    ("rejected", Some("jobs_rejected_total"), jobs.rejected),
+                    ("steals", Some("steals_total"), jobs.steals),
+                ],
             ),
-        ]);
-        if let Some(fabric) = &self.fabric {
-            if let Json::Object(m) = &mut members {
-                m.push(("fabric".to_string(), fabric.render()));
-            }
+        ]
+    }
+
+    /// The JSON exposition (`GET /metrics`).
+    fn render_metrics(&self) -> String {
+        let count = |(key, value): (&str, u64)| (key.to_string(), Json::count(value));
+        let m = &self.metrics;
+        let mut http: Vec<_> = [
+            ("requests", m.requests.get()),
+            ("responses_4xx", m.responses_4xx.get()),
+            ("responses_5xx", m.responses_5xx.get()),
+        ]
+        .map(count)
+        .into();
+        // Per-endpoint breakdown for the four submission endpoints: request
+        // count, status classes and service-time quantiles.
+        let mut endpoints = Vec::new();
+        for name in ["simulate", "exact", "synthesize", "check"] {
+            let series = m.endpoint(name);
+            http.push(count((&format!("{name}_requests"), series.requests.get())));
+            let latency = series.latency_us.snapshot();
+            endpoints.push((
+                name.to_string(),
+                Json::object([
+                    ("requests", Json::count(series.requests.get())),
+                    ("responses_4xx", Json::count(series.responses_4xx.get())),
+                    ("responses_5xx", Json::count(series.responses_5xx.get())),
+                    (
+                        "latency_us",
+                        Json::object([
+                            ("count", Json::count(latency.count)),
+                            ("p50", Json::count(latency.p50())),
+                            ("p90", Json::count(latency.p90())),
+                            ("p99", Json::count(latency.p99())),
+                            ("max", Json::count(latency.max)),
+                        ]),
+                    ),
+                ]),
+            ));
         }
-        members.render()
+        let auto_resolutions = StepperKind::ALL
+            .map(|kind| {
+                let key = kind.name().replace('-', "_");
+                count((&key, m.auto_resolution_counter(kind).get()))
+            })
+            .into();
+        let mut members = vec![
+            count(("uptime_ms", m.uptime_ms())),
+            ("http".to_string(), Json::Object(http)),
+            ("endpoints".to_string(), Json::Object(endpoints)),
+            (
+                "auto_resolutions".to_string(),
+                Json::Object(auto_resolutions),
+            ),
+        ];
+        for (section, rows) in self.subsystem_counters() {
+            let rows = rows.into_iter().map(|(key, _, value)| count((key, value)));
+            members.push((section.to_string(), Json::Object(rows.collect())));
+        }
+        if let Some(fabric) = &self.fabric {
+            members.push(("fabric".to_string(), fabric.render()));
+        }
+        Json::Object(members).render()
     }
 
     /// The Prometheus-style text exposition (`GET /metrics?format=text`):
-    /// every registry series, plus the cache, scheduler and fabric counters
-    /// (owned by their subsystems, not the registry) appended as gauges.
+    /// every registry series, plus the subsystem counters appended as
+    /// gauges.
     fn render_metrics_text(&self) -> String {
-        let cache = self.cache.stats();
-        let scheduler = self.scheduler.stats();
-        let mut extra: Vec<(String, f64)> = vec![
-            (
-                "service_uptime_ms".to_string(),
-                self.metrics.uptime_ms() as f64,
-            ),
-            ("cache_entries".to_string(), cache.entries as f64),
-            ("cache_capacity".to_string(), cache.capacity as f64),
-            ("cache_hits_total".to_string(), cache.hits as f64),
-            ("cache_misses_total".to_string(), cache.misses as f64),
-            ("cache_evictions_total".to_string(), cache.evictions as f64),
-            ("scheduler_workers".to_string(), scheduler.workers as f64),
-            (
-                "scheduler_jobs_completed_total".to_string(),
-                scheduler.completed as f64,
-            ),
-            (
-                "scheduler_jobs_failed_total".to_string(),
-                scheduler.failed as f64,
-            ),
-            (
-                "scheduler_jobs_cancelled_total".to_string(),
-                scheduler.cancelled as f64,
-            ),
-            (
-                "scheduler_jobs_rejected_total".to_string(),
-                scheduler.rejected as f64,
-            ),
-            (
-                "scheduler_steals_total".to_string(),
-                scheduler.steals as f64,
-            ),
-        ];
-        if let Some(fabric) = &self.fabric {
-            let stats = fabric.stats();
-            extra.extend([
-                (
-                    "fabric_shards_dispatched_total".to_string(),
-                    stats.shards_dispatched as f64,
-                ),
-                (
-                    "fabric_shards_completed_total".to_string(),
-                    stats.shards_completed as f64,
-                ),
-                (
-                    "fabric_shard_retries_total".to_string(),
-                    stats.shard_retries as f64,
-                ),
-                (
-                    "fabric_worker_failures_total".to_string(),
-                    stats.worker_failures as f64,
-                ),
-                (
-                    "fabric_remote_cache_hits_total".to_string(),
-                    stats.remote_cache_hits as f64,
-                ),
-                (
-                    "fabric_remote_cache_misses_total".to_string(),
-                    stats.remote_cache_misses as f64,
-                ),
-            ]);
+        let mut extra = vec![("service_uptime_ms".to_string(), self.metrics.uptime_ms())];
+        for (section, rows) in self.subsystem_counters() {
+            for (_, series, value) in rows {
+                extra.extend(series.map(|series| (format!("{section}_{series}"), value)));
+            }
         }
+        if let Some(fabric) = &self.fabric {
+            for (key, value) in fabric.stats().counters() {
+                extra.push((format!("fabric_{key}_total"), value));
+            }
+        }
+        let extra: Vec<_> = extra.into_iter().map(|(k, v)| (k, v as f64)).collect();
         self.metrics.registry().render_text(&extra)
     }
 }
 
-/// Wraps a route handler with the per-endpoint telemetry: service-time
-/// histogram, request/status counters, a debug-level `request` event, and
-/// a warn-level `slow_request` event when the handler ran longer than
-/// [`ServiceConfig::slow_request_ms`]. Purely observational — the wrapped
-/// handler's response passes through untouched.
+/// One `/metrics` section's subsystem counters as `(JSON key, text series,
+/// value)`. A text series is named `<section>_<series>`; a row without one
+/// is JSON-only, because the text exposition has it as a registry gauge.
+type CounterRows = Vec<(&'static str, Option<&'static str>, u64)>;
+
+/// A route handler. Its error is rendered as the error's status with an
+/// `{"error": …}` body.
+type Endpoint = fn(&Arc<App>, &RouteContext<'_>) -> Result<Response, ServiceError>;
+
+/// Wraps a route handler with its error rendering and the per-endpoint
+/// telemetry: service-time histogram, request/status counters, a
+/// debug-level `request` event, and a warn-level `slow_request` event when
+/// the handler ran longer than [`ServiceConfig::slow_request_ms`]. The
+/// telemetry is purely observational — the response passes through
+/// untouched.
 fn instrumented(
     app: &Arc<App>,
     endpoint: &'static str,
-    handler: impl Fn(&RouteContext<'_>) -> Response + Send + Sync + 'static,
+    handler: impl Fn(&RouteContext<'_>) -> Result<Response, ServiceError> + Send + Sync + 'static,
 ) -> impl Fn(&RouteContext<'_>) -> Response + Send + Sync + 'static {
     let app = Arc::clone(app);
     let series = app.metrics.endpoint(endpoint);
     move |ctx| {
         let started = Instant::now();
-        let response = handler(ctx);
+        let response = handler(ctx).unwrap_or_else(|error| error_response(&error));
         let elapsed = started.elapsed();
         series.observe(response.status, elapsed);
         let elapsed_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
@@ -549,15 +415,12 @@ fn instrumented(
 /// `GET /trace/:id` — the recorded span tree of one job, ordered by start
 /// time. Span ids render as 16-hex-digit strings (they are 64-bit hashes,
 /// too wide for JSON's f64 numbers).
-fn trace_query(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
-    let id = match parse_job_id(ctx) {
-        Ok(id) => id,
-        Err(error) => return error_response(&error),
-    };
+fn trace_query(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
+    let id = parse_job_id(ctx)?;
     let trace_id = id.to_string();
     let spans = app.trace.spans(&trace_id);
     if spans.is_empty() {
-        return error_response(&ServiceError::UnknownJob { id });
+        return Err(ServiceError::UnknownJob { id });
     }
     let rendered: Vec<Json> = spans
         .iter()
@@ -588,14 +451,46 @@ fn trace_query(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
             ])
         })
         .collect();
-    Response::json(
+    Ok(Response::json(
         200,
         Json::object([
             ("trace", Json::str(trace_id)),
             ("spans", Json::Array(rendered)),
         ])
         .render(),
-    )
+    ))
+}
+
+/// `GET /healthz` — liveness.
+fn healthz(app: &Arc<App>, _: &RouteContext<'_>) -> Result<Response, ServiceError> {
+    let body = Json::object([
+        ("status", Json::str("ok")),
+        ("workers", Json::count(app.scheduler.stats().workers as u64)),
+        ("uptime_ms", Json::count(app.metrics.uptime_ms())),
+    ]);
+    Ok(Response::json(200, body.render()))
+}
+
+/// `GET /metrics` — the JSON exposition, or `?format=text` for the
+/// Prometheus-style one.
+fn metrics(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
+    Ok(if ctx.query_param("format") == Some("text") {
+        Response::text(200, app.render_metrics_text())
+    } else {
+        Response::json(200, app.render_metrics())
+    })
+}
+
+/// The fabric of a coordinator; a 400 on any other daemon.
+fn coordinator(app: &App) -> Result<&Arc<Fabric>, ServiceError> {
+    app.fabric
+        .as_ref()
+        .ok_or_else(|| ServiceError::bad_request("this daemon is not a fabric coordinator"))
+}
+
+/// `GET /fabric` — the fabric counters, streaming statistics and pool.
+fn fabric_state(app: &Arc<App>, _: &RouteContext<'_>) -> Result<Response, ServiceError> {
+    Ok(Response::json(200, coordinator(app)?.render().render()))
 }
 
 /// Renders a [`ServiceError`] as its HTTP response.
@@ -651,80 +546,312 @@ fn snapshot_response(snapshot: &JobSnapshot) -> Response {
     }
 }
 
-/// Shared submit flow: consult the cache (timing the lookup), otherwise
-/// schedule the work `build` constructs for the allocated job id and either
-/// wait for it (`wait: true`) or hand back a `202`.
-///
-/// `build` receives the job id so chunk closures can carry the trace id
-/// (the id, as text); the built work's `finish` is wrapped to record the
-/// trace's root `job` span when the job settles. Cache hits schedule
-/// nothing and record no spans: the replayed bytes never went near the
-/// scheduler.
-fn submit_cached_job(
-    app: &Arc<App>,
+/// The trace handle of job `id`: spans recorded through it nest under the
+/// job's root `job` span (the job id, as text, is the trace id).
+fn job_trace(sink: &Arc<TraceSink>, id: JobId) -> ShardTrace {
+    let trace_id = id.to_string();
+    ShardTrace {
+        sink: Arc::clone(sink),
+        parent: span_id(&trace_id, "job", 0),
+        trace_id,
+        index: 0,
+    }
+}
+
+/// The coordinator's trace context a dispatched unit carries, if any.
+fn remote_trace(ctx: &RouteContext<'_>) -> Option<TraceContext> {
+    ctx.request
+        .header(TRACE_HEADER)
+        .and_then(TraceContext::parse)
+}
+
+/// Where a job's units run. Both variants answer the same calls, so a job
+/// plans, traces and merges its units the same way wherever they execute.
+enum Executor {
+    /// In this process, on the scheduler thread that runs the unit.
+    Local(Arc<App>),
+    /// On the fabric's worker pool.
+    Fabric(Arc<Fabric>),
+}
+
+impl Executor {
+    /// The fabric once it has workers, otherwise this process.
+    fn of(app: &Arc<App>) -> Executor {
+        match app.fabric.as_ref().filter(|f| !f.registry().is_empty()) {
+            Some(fabric) => Executor::Fabric(Arc::clone(fabric)),
+            None => Executor::Local(Arc::clone(app)),
+        }
+    }
+
+    /// Splits `trials` into the ranges a job runs as separate units, about
+    /// four per scheduler thread or worker: enough for idle threads to
+    /// steal, without shattering small ensembles into per-trial units.
+    fn plan(&self, trials: u64) -> Vec<(u64, u64)> {
+        match self {
+            // Called before submission: the scheduler lock is not held.
+            Executor::Local(app) => plan_ranges(trials, app.scheduler.stats().workers as u64, 0),
+            Executor::Fabric(fabric) => fabric.plan(trials),
+        }
+    }
+
+    /// Runs trials `range` of `request`. An in-process run adds its engine
+    /// profile to the metrics and records a `shard-exec` span under `trace`.
+    fn run_shard(
+        &self,
+        request: &SimulateRequest,
+        range: (u64, u64),
+        cancel: &CancelToken,
+        trace: &ShardTrace,
+    ) -> Result<EnsemblePartial, String> {
+        let app = match self {
+            Executor::Local(app) => app,
+            Executor::Fabric(fabric) => {
+                return fabric.run_shard(request, range, cancel, Some(trace))
+            }
+        };
+        let started_us = trace.sink.now_us();
+        let classifier = request.classifier().map_err(|e| e.to_string())?;
+        let mut profile = SimProfile::default();
+        let partial = Ensemble::new(&request.crn, request.initial.clone(), classifier)
+            .options(request.ensemble_options())
+            .run_range_profiled(range.0, range.1, cancel, &mut profile)
+            .map_err(|e| e.to_string())?;
+        app.metrics
+            .record_profile(request.resolved.name(), &profile);
+        trace.record(
+            "shard-exec",
+            trace.parent,
+            started_us,
+            &[
+                ("range", format!("[{}, {})", range.0, range.1)),
+                ("steps", profile.steps.to_string()),
+                ("propensity_evals", profile.propensity_evals.to_string()),
+            ],
+        );
+        Ok(partial)
+    }
+
+    /// Solves `/check` point `index`, returning its verdict body. An
+    /// in-process solve records a `shard-exec` span under `trace`.
+    fn run_check(
+        &self,
+        point: &CheckPoint,
+        index: usize,
+        cancel: &CancelToken,
+        trace: &ShardTrace,
+    ) -> Result<String, String> {
+        if let Executor::Fabric(fabric) = self {
+            return fabric.run_check(point, index, cancel, Some(trace));
+        }
+        let started_us = trace.sink.now_us();
+        let body = point.execute().map_err(|e| e.to_string())?;
+        let property = point.property.kind_name().to_string();
+        trace.record(
+            "shard-exec",
+            trace.parent,
+            started_us,
+            &[("property", property)],
+        );
+        Ok(body)
+    }
+}
+
+/// Runs unit `index` of a job on the scheduler thread, under the trace it
+/// records into.
+type RunUnit =
+    Box<dyn Fn(usize, &CancelToken, &ShardTrace) -> Result<ChunkOutput, String> + Send + Sync>;
+
+/// Merges a job's unit outputs, in unit order, into its body; spans go
+/// under the job's root.
+type MergeUnits =
+    Box<dyn Fn(Vec<ChunkOutput>, &ShardTrace) -> Result<String, String> + Send + Sync>;
+
+/// A span that predates its job: `(name, start_us, end_us, attrs)`.
+type EarlySpan = (&'static str, u64, u64, Vec<(&'static str, String)>);
+
+/// A job to submit: its cache key, its scheduling, and its units.
+struct Job {
     label: &'static str,
     key: String,
     priority: u8,
     wait: bool,
-    build: impl FnOnce(JobId) -> JobWork,
-) -> Response {
+    /// Each unit's span name and attribute name: `shard` and `range` (or
+    /// `analysis`) for trial ranges and whole solves, `point` and `point`
+    /// for check points.
+    unit: (&'static str, &'static str),
+    /// Each unit's attribute value: its trial range or grid point.
+    units: Vec<String>,
+    /// Set when this job is one unit of a coordinator's job: its units then
+    /// trace their execution under the coordinator's trace, and its own
+    /// trace keeps only the job root and the schedule wait.
+    remote: Option<TraceContext>,
+    /// Spans timed before the job had an id (request parse and classify).
+    early: Vec<EarlySpan>,
+    run: RunUnit,
+    merge: MergeUnits,
+}
+
+impl Job {
+    /// A job of one opaque in-process unit (`/exact`, `/synthesize`).
+    fn single(
+        label: &'static str,
+        key: String,
+        priority: u8,
+        wait: bool,
+        execute: impl Fn() -> Result<String, ServiceError> + Send + Sync + 'static,
+    ) -> Job {
+        Job {
+            label,
+            key,
+            priority,
+            wait,
+            unit: ("shard", "analysis"),
+            units: vec![label.to_string()],
+            remote: None,
+            early: Vec::new(),
+            run: Box::new(move |_, _, _| {
+                execute().map(ChunkOutput::Body).map_err(|e| e.to_string())
+            }),
+            merge: Box::new(|outputs, _| Ok(bodies(outputs).remove(0))),
+        }
+    }
+
+    /// The scheduler work of job `id`. Every unit runs through the one
+    /// wrapper, which records the unit's span unless a coordinator
+    /// dispatched it here; the merged body is cached, then the root `job`
+    /// span closes. The merge runs under the scheduler lock.
+    fn into_work(self, app: Arc<App>, id: JobId, submitted_us: u64) -> JobWork {
+        let root = job_trace(&app.trace, id);
+        let Job {
+            label,
+            key,
+            unit: (span, attr),
+            units,
+            remote,
+            run,
+            merge,
+            ..
+        } = self;
+        let chunks = units.len();
+        let unit_root = root.clone();
+        let run_chunk = move |index: usize, cancel: &CancelToken| {
+            let shard = index as u64;
+            let trace = match &remote {
+                Some(context) => ShardTrace {
+                    sink: Arc::clone(&unit_root.sink),
+                    trace_id: context.trace_id.clone(),
+                    parent: context.parent,
+                    index: shard,
+                },
+                None => ShardTrace {
+                    parent: span_id(&unit_root.trace_id, span, shard),
+                    index: shard,
+                    ..unit_root.clone()
+                },
+            };
+            let started_us = unit_root.sink.now_us();
+            let result = run(index, cancel, &trace);
+            if remote.is_none() {
+                unit_root.record(
+                    span,
+                    shard,
+                    started_us,
+                    &[(attr, units[index].clone()), ("outcome", outcome(&result))],
+                );
+            }
+            result
+        };
+        let finish = move |outputs: Vec<ChunkOutput>| {
+            let result = merge(outputs, &root);
+            if let Ok(body) = &result {
+                app.cache.insert(&key, body);
+            }
+            root.sink.record(Span {
+                trace_id: root.trace_id.clone(),
+                id: root.parent,
+                parent: None,
+                name: "job".to_string(),
+                start_us: submitted_us,
+                end_us: root.sink.now_us(),
+                attrs: vec![
+                    ("label".to_string(), label.to_string()),
+                    ("outcome".to_string(), outcome(&result)),
+                ],
+            });
+            result
+        };
+        JobWork {
+            chunks,
+            run_chunk: Box::new(run_chunk),
+            finish: Box::new(finish),
+        }
+    }
+}
+
+/// The bodies of units that produce bodies.
+fn bodies(outputs: Vec<ChunkOutput>) -> Vec<String> {
+    outputs
+        .into_iter()
+        .map(|output| match output {
+            ChunkOutput::Body(body) => body,
+            ChunkOutput::Partial(_) => unreachable!("these units produce bodies"),
+        })
+        .collect()
+}
+
+/// Shared submit flow: consult the cache (timing the lookup), otherwise
+/// schedule the job and either wait for it (`wait: true`) or hand back a
+/// `202`. Cache hits schedule nothing and record no spans: the replayed
+/// bytes never went near the scheduler.
+fn submit_cached_job(app: &Arc<App>, mut job: Job) -> Result<Response, ServiceError> {
     let lookup_started = Instant::now();
-    let cached = app.cache.lookup(&key);
+    let cached = app.cache.lookup(&job.key);
     app.metrics
         .cache_lookup_us
         .record(u64::try_from(lookup_started.elapsed().as_micros()).unwrap_or(u64::MAX));
     if let Some(body) = cached {
-        return Response::json(200, body)
+        return Ok(Response::json(200, body)
             .header("cache", "hit")
-            .header("x-job-state", "completed");
+            .header("x-job-state", "completed"));
     }
     let submitted_us = app.trace.now_us();
-    let root_app = Arc::clone(app);
-    let id = match app.scheduler.submit_with(priority, label, |id| {
-        let mut work = build(id);
-        let sink = Arc::clone(&root_app.trace);
-        let trace_id = id.to_string();
-        let inner = work.finish;
-        work.finish = Box::new(move |outputs| {
-            let result = inner(outputs);
-            sink.record(Span {
-                id: span_id(&trace_id, "job", 0),
-                parent: None,
-                trace_id: trace_id.clone(),
-                name: "job".to_string(),
-                start_us: submitted_us,
-                end_us: sink.now_us(),
-                attrs: vec![
-                    ("label".to_string(), label.to_string()),
-                    (
-                        "outcome".to_string(),
-                        if result.is_ok() { "ok" } else { "error" }.to_string(),
-                    ),
-                ],
-            });
-            result
-        });
-        work
-    }) {
-        Ok(id) => id,
-        Err(SubmitError::QueueFull { capacity }) => {
-            return error_response(&ServiceError::Busy { capacity })
-        }
-        Err(SubmitError::Draining) => {
-            return error_response(&ServiceError::Unavailable {
-                message: "server is draining".to_string(),
-            })
-        }
+    let (priority, label, wait) = (job.priority, job.label, job.wait);
+    // A unit a coordinator dispatched here is traced in the coordinator's
+    // tree (its `shard` or `point` span and this daemon's `shard-exec`); its
+    // own trace keeps only the job root and the schedule wait.
+    let early = match job.remote {
+        Some(_) => Vec::new(),
+        None => std::mem::take(&mut job.early),
     };
+    let build_app = Arc::clone(app);
+    let id = app
+        .scheduler
+        .submit_with(priority, label, move |id| {
+            job.into_work(build_app, id, submitted_us)
+        })
+        .map_err(|error| match error {
+            SubmitError::QueueFull { capacity } => ServiceError::Busy { capacity },
+            SubmitError::Draining => ServiceError::Unavailable {
+                message: "server is draining".to_string(),
+            },
+        })?;
+    // Recorded here rather than in the build callback, which runs under the
+    // scheduler lock.
+    if !early.is_empty() {
+        let root = job_trace(&app.trace, id);
+        for (name, start_us, end_us, attrs) in &early {
+            root.record_between(name, 0, *start_us, *end_us, attrs);
+        }
+    }
     if wait {
         if let Some(snapshot) = app.scheduler.wait_terminal(id, WAIT_TIMEOUT) {
-            return snapshot_response(&snapshot);
+            return Ok(snapshot_response(&snapshot));
         }
     }
     let snapshot = app.scheduler.status(id).expect("job was just submitted");
-    Response::json(202, status_body(&snapshot))
+    Ok(Response::json(202, status_body(&snapshot))
         .header("cache", "miss")
-        .header("x-job-state", snapshot.state.as_str())
+        .header("x-job-state", snapshot.state.as_str()))
 }
 
 /// Parses the request body as JSON, mapping failures to a 400.
@@ -737,29 +864,21 @@ fn parse_body(ctx: &RouteContext<'_>) -> Result<Json, ServiceError> {
 /// coordinator at run time (loopback-only, like `/shutdown`: the pool an
 /// operator dispatches compute to is operator configuration, not a public
 /// surface).
-fn register_worker(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
+fn register_worker(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
     if !ctx.peer.ip().is_loopback() {
-        return error_response(&ServiceError::Forbidden {
+        return Err(ServiceError::Forbidden {
             message: "POST /fabric/workers is only accepted from loopback".to_string(),
         });
     }
-    let Some(fabric) = &app.fabric else {
-        return error_response(&ServiceError::bad_request(
-            "this daemon is not a fabric coordinator",
-        ));
-    };
-    let addr = match parse_body(ctx).and_then(|body| {
-        body.get("addr")
-            .ok_or_else(|| ServiceError::bad_request("missing `addr`"))?
-            .as_str("addr")
-            .map(str::to_string)
-            .map_err(ServiceError::bad_request)
-    }) {
-        Ok(addr) => addr,
-        Err(error) => return error_response(&error),
-    };
+    let fabric = coordinator(app)?;
+    let addr = parse_body(ctx)?
+        .get("addr")
+        .ok_or_else(|| ServiceError::bad_request("missing `addr`"))?
+        .as_str("addr")
+        .map_err(ServiceError::bad_request)?
+        .to_string();
     let registered = fabric.registry().register(&addr);
-    Response::json(
+    Ok(Response::json(
         200,
         Json::object([
             ("addr", Json::str(addr)),
@@ -767,385 +886,168 @@ fn register_worker(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
             ("workers", Json::count(fabric.registry().len() as u64)),
         ])
         .render(),
-    )
+    ))
 }
 
-fn submit_simulate(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
-    // Timestamps for the `parse` and `classify` trace spans are captured
-    // here, but the spans are recorded later, inside the submit `build`
-    // callback — the trace id is the job id, which does not exist yet.
+fn submit_simulate(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
+    // The `parse` and `classify` spans are timed here and recorded once the
+    // job exists: the trace id is the job id.
     let parse_started_us = app.trace.now_us();
-    let body = parse_body(ctx);
+    let body = parse_body(ctx)?;
     let parse_done_us = app.trace.now_us();
-    let request = match body.and_then(|body| SimulateRequest::parse(&body)) {
-        Ok(request) => Arc::new(request),
-        Err(error) => return error_response(&error),
-    };
+    let request = Arc::new(SimulateRequest::parse(&body)?);
     let classify_done_us = app.trace.now_us();
     // Count what the portfolio decided (even when the cache answers the
     // request): the per-kind histogram in `/metrics` is how operators see
     // which regimes their workloads land in.
-    if request.method == gillespie::StepperKind::Auto {
+    if request.method == StepperKind::Auto {
         app.metrics.auto_resolution_counter(request.resolved).inc();
     }
-    let key = request.cache_key();
-
-    // A shard request (`"range": [start, end)`) runs its trial range as
-    // one chunk and answers with a partial wire document — the worker side
-    // of the fabric. The partial is cached under the range-suffixed key,
-    // so a coordinator retrying or re-dispatching a shard replays it
-    // byte-for-byte. When the coordinator stamped a trace header, the
-    // execution is recorded as a `shard-exec` span under the
-    // *coordinator's* trace id (in this worker's own sink).
-    if let Some((start, end)) = request.range {
-        let context = ctx
-            .request
-            .header(TRACE_HEADER)
-            .and_then(TraceContext::parse);
-        let run_request = Arc::clone(&request);
-        let run_app = Arc::clone(app);
-        let run_chunk = move |_: usize, cancel: &gillespie::engine::CancelToken| {
-            let started_us = run_app.trace.now_us();
-            let classifier = run_request.classifier().map_err(|e| e.to_string())?;
-            let ensemble = Ensemble::new(&run_request.crn, run_request.initial.clone(), classifier)
-                .options(run_request.ensemble_options());
-            let mut profile = SimProfile::default();
-            let partial = ensemble
-                .run_range_profiled(start, end, cancel, &mut profile)
-                .map_err(|e| e.to_string())?;
-            run_app
-                .metrics
-                .record_profile(run_request.resolved.name(), &profile);
-            if let Some(context) = &context {
-                run_app.trace.record(Span {
-                    trace_id: context.trace_id.clone(),
-                    id: span_id(&context.trace_id, "shard-exec", start),
-                    parent: Some(context.parent),
-                    name: "shard-exec".to_string(),
-                    start_us: started_us,
-                    end_us: run_app.trace.now_us(),
-                    attrs: vec![
-                        ("range".to_string(), format!("[{start}, {end})")),
-                        ("steps".to_string(), profile.steps.to_string()),
-                        (
-                            "propensity_evals".to_string(),
-                            profile.propensity_evals.to_string(),
-                        ),
-                    ],
-                });
-            }
-            Ok(ChunkOutput::Body(SimulateRequest::render_partial(&partial)))
-        };
-        let finish_key = key.clone();
-        let finish_app = Arc::clone(app);
-        let finish = move |mut outputs: Vec<ChunkOutput>| {
-            let ChunkOutput::Body(body) = outputs.remove(0) else {
-                unreachable!("shard chunks produce bodies")
-            };
-            finish_app.cache.insert(&finish_key, &body);
-            Ok(body)
-        };
-        let (priority, wait) = (request.priority, request.wait);
-        return submit_cached_job(app, "simulate-shard", key, priority, wait, move |_| {
-            JobWork {
-                chunks: 1,
-                run_chunk: Box::new(run_chunk),
-                finish: Box::new(finish),
-            }
-        });
-    }
-
-    // Chunk the ensemble. On a coordinator the chunks are fabric shards
-    // dispatched to the worker pool; locally they are trial ranges sized
-    // for ~4 tasks per scheduler worker so stealing has something to
-    // steal, without shattering small ensembles into per-trial tasks.
-    let fabric = app
-        .fabric
-        .as_ref()
-        .filter(|f| !f.registry().is_empty())
-        .cloned();
-    let (priority, wait) = (request.priority, request.wait);
-    // Read the worker count up front: the build callback below runs under
-    // the scheduler lock, where calling back into `scheduler.stats()`
-    // would deadlock.
-    let scheduler_workers = app.scheduler.stats().workers as u64;
-    let build_app = Arc::clone(app);
-    let finish_key = key.clone();
-    submit_cached_job(app, "simulate", key, priority, wait, move |id| {
-        let app = build_app;
-        let sink = Arc::clone(app.trace());
-        let trace_id = id.to_string();
-        let root = span_id(&trace_id, "job", 0);
-        sink.record(Span {
-            trace_id: trace_id.clone(),
-            id: span_id(&trace_id, "parse", 0),
-            parent: Some(root),
-            name: "parse".to_string(),
-            start_us: parse_started_us,
-            end_us: parse_done_us,
-            attrs: Vec::new(),
-        });
-        sink.record(Span {
-            trace_id: trace_id.clone(),
-            id: span_id(&trace_id, "classify", 0),
-            parent: Some(root),
-            name: "classify".to_string(),
-            start_us: parse_done_us,
-            end_us: classify_done_us,
-            attrs: vec![
-                ("method".to_string(), request.method.name().to_string()),
-                ("resolved".to_string(), request.resolved.name().to_string()),
-            ],
-        });
-
-        type ChunkRunner = Box<
-            dyn Fn(usize, &gillespie::engine::CancelToken) -> Result<ChunkOutput, String>
-                + Send
-                + Sync,
-        >;
-        let (chunks, run_chunk): (usize, ChunkRunner) = match fabric {
-            Some(fabric) => {
-                let plan = fabric.plan(request.trials);
-                let run_request = Arc::clone(&request);
-                let chunks = plan.len();
-                let run_sink = Arc::clone(&sink);
-                let run_trace_id = trace_id.clone();
-                let run_chunk = move |index: usize, cancel: &gillespie::engine::CancelToken| {
-                    let shard_span = span_id(&run_trace_id, "shard", index as u64);
-                    let shard_trace = ShardTrace {
-                        sink: Arc::clone(&run_sink),
-                        trace_id: run_trace_id.clone(),
-                        parent: shard_span,
-                        index: index as u64,
-                    };
-                    let started_us = run_sink.now_us();
-                    let result =
-                        fabric.run_shard(&run_request, plan[index], cancel, Some(&shard_trace));
-                    run_sink.record(Span {
-                        trace_id: run_trace_id.clone(),
-                        id: shard_span,
-                        parent: Some(span_id(&run_trace_id, "job", 0)),
-                        name: "shard".to_string(),
-                        start_us: started_us,
-                        end_us: run_sink.now_us(),
-                        attrs: vec![
-                            (
-                                "range".to_string(),
-                                format!("[{}, {})", plan[index].0, plan[index].1),
-                            ),
-                            (
-                                "outcome".to_string(),
-                                if result.is_ok() { "ok" } else { "error" }.to_string(),
-                            ),
-                        ],
-                    });
-                    Ok(ChunkOutput::Partial(Box::new(result?)))
-                };
-                (chunks, Box::new(run_chunk) as _)
-            }
-            None => {
-                let target_chunks = (scheduler_workers * 4).clamp(1, request.trials);
-                let chunk_size = request.trials.div_ceil(target_chunks);
-                let chunks = request.trials.div_ceil(chunk_size) as usize;
-                let run_request = Arc::clone(&request);
-                let trials = request.trials;
-                let run_app = Arc::clone(&app);
-                let run_sink = Arc::clone(&sink);
-                let run_trace_id = trace_id.clone();
-                let run_chunk = move |index: usize, cancel: &gillespie::engine::CancelToken| {
-                    let start = index as u64 * chunk_size;
-                    let end = (start + chunk_size).min(trials);
-                    let started_us = run_sink.now_us();
-                    let classifier = run_request.classifier().map_err(|e| e.to_string())?;
-                    let ensemble =
-                        Ensemble::new(&run_request.crn, run_request.initial.clone(), classifier)
-                            .options(run_request.ensemble_options());
-                    let mut profile = SimProfile::default();
-                    let partial = ensemble
-                        .run_range_profiled(start, end, cancel, &mut profile)
-                        .map_err(|e| e.to_string())?;
-                    run_app
-                        .metrics
-                        .record_profile(run_request.resolved.name(), &profile);
-                    run_sink.record(Span {
-                        trace_id: run_trace_id.clone(),
-                        id: span_id(&run_trace_id, "shard", index as u64),
-                        parent: Some(span_id(&run_trace_id, "job", 0)),
-                        name: "shard".to_string(),
-                        start_us: started_us,
-                        end_us: run_sink.now_us(),
-                        attrs: vec![
-                            ("range".to_string(), format!("[{start}, {end})")),
-                            ("steps".to_string(), profile.steps.to_string()),
-                            (
-                                "propensity_evals".to_string(),
-                                profile.propensity_evals.to_string(),
-                            ),
-                        ],
-                    });
-                    Ok(ChunkOutput::Partial(Box::new(partial)))
-                };
-                (chunks, Box::new(run_chunk) as _)
-            }
-        };
-
-        let finish_request = Arc::clone(&request);
-        let finish_app = Arc::clone(&app);
-        let finish_trace_id = trace_id;
-        let finish = move |outputs: Vec<ChunkOutput>| {
-            let merge_started_us = finish_app.trace.now_us();
-            let partials: Vec<EnsemblePartial> = outputs
-                .into_iter()
-                .map(|output| match output {
-                    ChunkOutput::Partial(partial) => *partial,
-                    ChunkOutput::Body(_) => unreachable!("simulate chunks produce partials"),
-                })
-                .collect();
-            let merged = partials.len();
-            let classifier = finish_request.classifier().map_err(|e| e.to_string())?;
-            let ensemble = Ensemble::new(
-                &finish_request.crn,
-                finish_request.initial.clone(),
-                classifier,
-            )
-            .options(finish_request.ensemble_options());
-            let report = ensemble.merge(partials).map_err(|e| e.to_string())?;
-            let body = finish_request.render_report(&report);
-            finish_app.cache.insert(&finish_key, &body);
-            finish_app.trace.record(Span {
-                trace_id: finish_trace_id.clone(),
-                id: span_id(&finish_trace_id, "merge", 0),
-                parent: Some(span_id(&finish_trace_id, "job", 0)),
-                name: "merge".to_string(),
-                start_us: merge_started_us,
-                end_us: finish_app.trace.now_us(),
-                attrs: vec![("partials".to_string(), merged.to_string())],
-            });
-            Ok(body)
-        };
-
-        JobWork {
-            chunks,
-            run_chunk,
-            finish: Box::new(finish),
+    // A shard request (`"range": [start, end)`) is one unit of a
+    // coordinator's job: it runs in-process, traced under the coordinator's
+    // trace, and answers with its partial's wire document, cached under its
+    // range-keyed document so a retried or re-dispatched shard replays
+    // byte-for-byte. Any other request splits into trial ranges on the
+    // executor.
+    let (label, executor, plan) = match request.range {
+        Some(range) => (
+            "simulate-shard",
+            Executor::Local(Arc::clone(app)),
+            vec![range],
+        ),
+        None => {
+            let executor = Executor::of(app);
+            let plan = executor.plan(request.trials);
+            ("simulate", executor, plan)
         }
-    })
-}
-
-/// Builds the single-chunk job for an analysis endpoint whose work is one
-/// opaque computation (`/exact`, `/synthesize`).
-fn analysis_job(
-    app: &Arc<App>,
-    key: String,
-    execute: impl Fn() -> Result<String, ServiceError> + Send + Sync + 'static,
-) -> JobWork {
-    let finish_app = Arc::clone(app);
-    JobWork {
-        chunks: 1,
-        run_chunk: Box::new(move |_, _| {
-            execute().map(ChunkOutput::Body).map_err(|e| e.to_string())
+    };
+    let run_request = Arc::clone(&request);
+    let job = Job {
+        label,
+        key: request.cache_key(),
+        priority: request.priority,
+        wait: request.wait,
+        unit: ("shard", "range"),
+        units: plan
+            .iter()
+            .map(|(start, end)| format!("[{start}, {end})"))
+            .collect(),
+        remote: request.range.and_then(|_| remote_trace(ctx)),
+        early: vec![
+            ("parse", parse_started_us, parse_done_us, Vec::new()),
+            (
+                "classify",
+                parse_done_us,
+                classify_done_us,
+                vec![
+                    ("method", request.method.name().to_string()),
+                    ("resolved", request.resolved.name().to_string()),
+                ],
+            ),
+        ],
+        run: Box::new(move |index, cancel, trace| {
+            let partial = executor.run_shard(&run_request, plan[index], cancel, trace)?;
+            // A shard renders its partial here, not in the merge: the merge
+            // runs under the scheduler lock.
+            Ok(match run_request.range {
+                Some(_) => ChunkOutput::Body(SimulateRequest::render_partial(&partial)),
+                None => ChunkOutput::Partial(Box::new(partial)),
+            })
         }),
-        finish: Box::new(move |mut outputs| {
-            let ChunkOutput::Body(body) = outputs.remove(0) else {
-                unreachable!("analysis chunks produce bodies")
-            };
-            finish_app.cache.insert(&key, &body);
-            Ok(body)
-        }),
+        merge: Box::new(move |outputs, root| merge_ensemble(&request, outputs, root)),
+    };
+    submit_cached_job(app, job)
+}
+
+/// Merges a simulate job's partials, in trial order, into its report body;
+/// a shard request's single unit already rendered its partial document.
+fn merge_ensemble(
+    request: &SimulateRequest,
+    outputs: Vec<ChunkOutput>,
+    root: &ShardTrace,
+) -> Result<String, String> {
+    if request.range.is_some() {
+        return Ok(bodies(outputs).remove(0));
     }
+    let started_us = root.sink.now_us();
+    let partials: Vec<EnsemblePartial> = outputs
+        .into_iter()
+        .map(|output| match output {
+            ChunkOutput::Partial(partial) => *partial,
+            ChunkOutput::Body(_) => unreachable!("ensemble units produce partials"),
+        })
+        .collect();
+    let merged = partials.len();
+    let classifier = request.classifier().map_err(|e| e.to_string())?;
+    let report = Ensemble::new(&request.crn, request.initial.clone(), classifier)
+        .options(request.ensemble_options())
+        .merge(partials)
+        .map_err(|e| e.to_string())?;
+    let body = request.render_report(&report);
+    root.record("merge", 0, started_us, &[("partials", merged.to_string())]);
+    Ok(body)
 }
 
-fn submit_exact(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
-    let request = match parse_body(ctx).and_then(|body| ExactRequest::parse(&body)) {
-        Ok(request) => request,
-        Err(error) => return error_response(&error),
-    };
-    let key = request.cache_key();
-    let (priority, wait) = (request.priority, request.wait);
-    let work = analysis_job(app, key.clone(), move || request.execute());
-    submit_cached_job(app, "exact", key, priority, wait, move |_| work)
+fn submit_exact(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
+    let request = ExactRequest::parse(&parse_body(ctx)?)?;
+    let (key, priority, wait) = (request.cache_key(), request.priority, request.wait);
+    let job = Job::single("exact", key, priority, wait, move || request.execute());
+    submit_cached_job(app, job)
 }
 
-fn submit_synthesize(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
-    let request = match parse_body(ctx).and_then(|body| SynthesizeRequest::parse(&body)) {
-        Ok(request) => request,
-        Err(error) => return error_response(&error),
-    };
-    let key = request.cache_key();
-    let (priority, wait) = (request.priority, request.wait);
-    let work = analysis_job(app, key.clone(), move || request.execute());
-    submit_cached_job(app, "synthesize", key, priority, wait, move |_| work)
+fn submit_synthesize(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
+    let request = SynthesizeRequest::parse(&parse_body(ctx)?)?;
+    let (key, priority, wait) = (request.cache_key(), request.priority, request.wait);
+    let job = Job::single("synthesize", key, priority, wait, move || request.execute());
+    submit_cached_job(app, job)
 }
 
-fn submit_check(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
-    let request = match parse_body(ctx).and_then(|body| CheckRequest::parse(&body)) {
-        Ok(request) => request,
-        Err(error) => return error_response(&error),
+fn submit_check(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
+    let request = Arc::new(CheckRequest::parse(&parse_body(ctx)?)?);
+    // A sweepless check is one in-process unit — when a coordinator
+    // dispatched it, one point of a sweep, traced under the coordinator's
+    // trace. A sweep runs each grid point as its own unit on the executor,
+    // and every point consults (and fills) the per-point cache before the
+    // sweep document is assembled, so re-gridded sweeps and single-point
+    // replays reuse each other's solves, on top of the whole-document key.
+    let (label, executor, remote) = match request.sweep {
+        None => ("check", Executor::Local(Arc::clone(app)), remote_trace(ctx)),
+        Some(_) => ("check-sweep", Executor::of(app), None),
     };
-    let (priority, wait) = (request.priority, request.wait);
-    let key = request.cache_key();
-    if request.sweep.is_none() {
-        let point = request
-            .points
-            .into_iter()
-            .next()
-            .expect("a sweepless request has exactly one point");
-        let work = analysis_job(app, key.clone(), move || point.execute());
-        return submit_cached_job(app, "check", key, priority, wait, move |_| work);
-    }
-
-    // A sweep runs each grid point as its own chunk — locally on the
-    // scheduler threads, or fanned out to `/check` on the worker pool when
-    // this daemon coordinates a fabric. Every point consults (and fills)
-    // the per-point cache before the sweep document is assembled, so
-    // re-gridded sweeps and single-point replays reuse each other's
-    // solves, on top of the whole-document key.
-    let request = Arc::new(request);
-    let chunks = request.points.len();
-    let fabric = app
-        .fabric
-        .as_ref()
-        .filter(|f| !f.registry().is_empty())
-        .cloned();
     let run_request = Arc::clone(&request);
     let run_app = Arc::clone(app);
-    let run_chunk = move |index: usize, cancel: &gillespie::engine::CancelToken| {
-        let point = &run_request.points[index];
-        let point_key = point.cache_key();
-        if let Some(body) = run_app.cache.lookup(&point_key) {
-            return Ok(ChunkOutput::Body(body));
-        }
-        let body = match &fabric {
-            Some(fabric) => fabric.run_check(point, index, cancel)?,
-            None => point.execute().map_err(|e| e.to_string())?,
-        };
-        run_app.cache.insert(&point_key, &body);
-        Ok(ChunkOutput::Body(body))
+    let job = Job {
+        label,
+        key: request.cache_key(),
+        priority: request.priority,
+        wait: request.wait,
+        unit: ("point", "point"),
+        units: (0..request.points.len())
+            .map(|index| index.to_string())
+            .collect(),
+        remote,
+        early: Vec::new(),
+        run: Box::new(move |index, cancel, trace| {
+            let point = &run_request.points[index];
+            let key = run_request.sweep.as_ref().map(|_| point.cache_key());
+            if let Some(body) = key.as_ref().and_then(|key| run_app.cache.lookup(key)) {
+                return Ok(ChunkOutput::Body(body));
+            }
+            let body = executor.run_check(point, index, cancel, trace)?;
+            if let Some(key) = &key {
+                run_app.cache.insert(key, &body);
+            }
+            Ok(ChunkOutput::Body(body))
+        }),
+        merge: Box::new(move |outputs, _| {
+            let mut bodies = bodies(outputs);
+            match request.sweep {
+                None => Ok(bodies.remove(0)),
+                Some(_) => request.render_sweep(&bodies).map_err(|e| e.to_string()),
+            }
+        }),
     };
-
-    let finish_request = Arc::clone(&request);
-    let finish_app = Arc::clone(app);
-    let finish_key = key.clone();
-    let finish = move |outputs: Vec<ChunkOutput>| {
-        let bodies: Vec<String> = outputs
-            .into_iter()
-            .map(|output| match output {
-                ChunkOutput::Body(body) => body,
-                ChunkOutput::Partial(_) => unreachable!("check chunks produce bodies"),
-            })
-            .collect();
-        let body = finish_request
-            .render_sweep(&bodies)
-            .map_err(|e| e.to_string())?;
-        finish_app.cache.insert(&finish_key, &body);
-        Ok(body)
-    };
-
-    submit_cached_job(app, "check-sweep", key, priority, wait, move |_| JobWork {
-        chunks,
-        run_chunk: Box::new(run_chunk),
-        finish: Box::new(finish),
-    })
+    submit_cached_job(app, job)
 }
 
 fn parse_job_id(ctx: &RouteContext<'_>) -> Result<JobId, ServiceError> {
@@ -1154,36 +1056,30 @@ fn parse_job_id(ctx: &RouteContext<'_>) -> Result<JobId, ServiceError> {
         .ok_or_else(|| ServiceError::bad_request("job ids are positive integers"))
 }
 
-fn job_status(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
-    let id = match parse_job_id(ctx) {
-        Ok(id) => id,
-        Err(error) => return error_response(&error),
-    };
+fn job_status(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
+    let id = parse_job_id(ctx)?;
     // `?wait=1` turns the poll into a blocking wait (used by the CLI).
     if ctx.query_param("wait").is_some() {
         if let Some(snapshot) = app.scheduler.wait_terminal(id, WAIT_TIMEOUT) {
-            return snapshot_response(&snapshot);
+            return Ok(snapshot_response(&snapshot));
         }
     }
-    match app.scheduler.status(id) {
-        Some(snapshot) => snapshot_response(&snapshot),
-        None => error_response(&ServiceError::UnknownJob { id }),
-    }
+    let snapshot = app.scheduler.status(id);
+    Ok(snapshot_response(
+        &snapshot.ok_or(ServiceError::UnknownJob { id })?,
+    ))
 }
 
-fn job_cancel(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
-    let id = match parse_job_id(ctx) {
-        Ok(id) => id,
-        Err(error) => return error_response(&error),
-    };
+fn job_cancel(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
+    let id = parse_job_id(ctx)?;
     match app.scheduler.status(id) {
-        None => error_response(&ServiceError::UnknownJob { id }),
+        None => Err(ServiceError::UnknownJob { id }),
         // `cancel` re-checks terminality under the scheduler lock: a job
         // that settles between the status read and the cancel reports a
         // conflict, never `cancelled: true`.
         Some(_) if app.scheduler.cancel(id) => {
             let snapshot = app.scheduler.status(id).expect("job still known");
-            Response::json(
+            Ok(Response::json(
                 202,
                 Json::object([
                     ("job", Json::count(id)),
@@ -1191,7 +1087,7 @@ fn job_cancel(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
                     ("cancelled", Json::Bool(true)),
                 ])
                 .render(),
-            )
+            ))
         }
         Some(_) => {
             // Re-read: the pre-cancel snapshot may predate the settling.
@@ -1199,29 +1095,27 @@ fn job_cancel(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
                 .scheduler
                 .status(id)
                 .map_or("settled", |s| s.state.as_str());
-            error_response(&ServiceError::Conflict {
+            Err(ServiceError::Conflict {
                 message: format!("job {id} is already {state}"),
             })
         }
     }
 }
 
-fn shutdown(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
+fn shutdown(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
     if !ctx.peer.ip().is_loopback() {
-        return error_response(&ServiceError::Forbidden {
+        return Err(ServiceError::Forbidden {
             message: "POST /shutdown is only accepted from loopback".to_string(),
         });
     }
     let deadline_ms = if ctx.request.body.trim().is_empty() {
         5_000
     } else {
-        match parse_body(ctx).and_then(|body| {
-            body.get("deadline_ms")
-                .map(|v| v.as_u64("deadline_ms").map_err(ServiceError::bad_request))
-                .unwrap_or(Ok(5_000))
-        }) {
-            Ok(ms) => ms,
-            Err(error) => return error_response(&error),
+        match parse_body(ctx)?.get("deadline_ms") {
+            Some(value) => value
+                .as_u64("deadline_ms")
+                .map_err(ServiceError::bad_request)?,
+            None => 5_000,
         }
     };
     let report = app.scheduler.drain(Duration::from_millis(deadline_ms));
@@ -1230,7 +1124,7 @@ fn shutdown(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
     if let Some(addr) = app.local_addr.get() {
         let _ = std::net::TcpStream::connect_timeout(addr, Duration::from_secs(1));
     }
-    Response::json(
+    Ok(Response::json(
         200,
         Json::object([
             ("status", Json::str("drained")),
@@ -1238,7 +1132,7 @@ fn shutdown(app: &Arc<App>, ctx: &RouteContext<'_>) -> Response {
             ("cancelled", Json::count(report.cancelled)),
         ])
         .render(),
-    )
+    ))
 }
 
 /// A running service: the bound address plus handles to stop and join it.

@@ -24,15 +24,21 @@
 //!
 //! Cache federation has two tiers: the coordinator's own
 //! [`ResultCache`](crate::ResultCache) answers whole-job replays, and each
-//! worker caches its shards under range-suffixed keys, so a re-sharded or
-//! partially retried job reuses every shard the pool has seen before. The
+//! worker caches its shards under their range-keyed documents, so a
+//! re-sharded or partially retried job reuses every shard the pool has seen
+//! before. The
 //! per-tier hit/miss counters are exposed through `GET /fabric` and the
 //! `fabric` section of `GET /metrics`.
 //!
 //! `/check` parameter sweeps ride the same machinery: each grid point is a
 //! work unit dispatched to `/check` on a worker ([`Fabric::run_check`]),
-//! retried and counted exactly like a simulate shard, with the per-point
-//! verdict cached worker-side under the point's canonical key.
+//! retried, counted and traced exactly like a simulate shard, with the
+//! per-point verdict cached worker-side under the point's canonical key.
+//!
+//! A shard's body is its request's canonical document plus the resolved
+//! stepper, the shard's `range` and `wait: true` (see [`crate::api`]), and
+//! the trial ranges come from the same [`plan_ranges`] a daemon without
+//! workers uses to cut ensembles into in-process units.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -53,21 +59,79 @@ use crate::registry::{WorkerRegistry, WorkerSnapshot};
 /// worker's spans attach to the coordinator's trace tree.
 pub const TRACE_HEADER: &str = "x-stochsynth-trace";
 
-/// Trace coordinates for one shard's dispatches: the sink spans are
-/// recorded into, the owning trace, and the shard span every dispatch
-/// attempt nests under. Purely observational — dispatch order, retries and
-/// merges are identical with or without it.
+/// Trace coordinates for one unit of work: the sink spans are recorded
+/// into, the owning trace, and the span the unit's dispatch attempts (or
+/// its in-process execution) nest under. Purely observational — dispatch
+/// order, retries and merges are identical with or without it.
 #[derive(Clone)]
 pub struct ShardTrace {
     /// Where dispatch spans are recorded.
     pub sink: Arc<TraceSink>,
     /// The coordinator's trace id (its job id, as text).
     pub trace_id: String,
-    /// The shard span's id — the parent of every dispatch attempt span.
+    /// The unit's span id (`shard`, or `point` for a sweep point) — the
+    /// parent of every dispatch attempt span.
     pub parent: u64,
     /// The shard's chunk index, folded into dispatch span ids so attempts
     /// of different shards never collide.
     pub index: u64,
+}
+
+impl ShardTrace {
+    /// Records span `name` (`index` tells siblings apart) under this
+    /// trace's parent, spanning `start_us..end_us`.
+    pub(crate) fn record_between(
+        &self,
+        name: &str,
+        index: u64,
+        start_us: u64,
+        end_us: u64,
+        attrs: &[(&str, String)],
+    ) {
+        self.sink.record(Span {
+            trace_id: self.trace_id.clone(),
+            id: span_id(&self.trace_id, name, index),
+            parent: Some(self.parent),
+            name: name.to_string(),
+            start_us,
+            end_us,
+            attrs: attrs
+                .iter()
+                .map(|(key, value)| (key.to_string(), value.clone()))
+                .collect(),
+        });
+    }
+
+    /// [`record_between`](Self::record_between) from `start_us` until now.
+    pub(crate) fn record(&self, name: &str, index: u64, start_us: u64, attrs: &[(&str, String)]) {
+        self.record_between(name, index, start_us, self.sink.now_us(), attrs);
+    }
+}
+
+/// A span's `outcome` attribute.
+pub(crate) fn outcome<T, E>(result: &Result<T, E>) -> String {
+    if result.is_ok() { "ok" } else { "error" }.to_string()
+}
+
+/// Splits `trials` into consecutive ranges `[start, end)` of `fixed` trials
+/// each, or, when `fixed` is 0, of about a quarter of `trials / units`, so
+/// `units` executors each get about four ranges to share out. This is the
+/// one plan for fabric shards and in-process chunks alike.
+pub(crate) fn plan_ranges(trials: u64, units: u64, fixed: u64) -> Vec<(u64, u64)> {
+    let size = if fixed > 0 {
+        fixed
+    } else {
+        trials.div_ceil(units.max(1) * 4)
+    }
+    .max(1);
+    let mut ranges = Vec::with_capacity(trials.div_ceil(size) as usize);
+    let mut start = 0;
+    while start < trials {
+        let end = (start + size).min(trials);
+        ranges.push((start, end));
+        start = end;
+    }
+    ranges
 }
 
 /// Configuration of a fabric coordinator.
@@ -124,6 +188,22 @@ pub struct FabricStats {
     pub remote_cache_hits: u64,
     /// Shards a worker had to compute.
     pub remote_cache_misses: u64,
+}
+
+impl FabricStats {
+    /// The counters under their JSON keys: the one list `GET /fabric` and
+    /// both `GET /metrics` formats render (the text series of `key` is
+    /// `fabric_<key>_total`).
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 6] {
+        [
+            ("shards_dispatched", self.shards_dispatched),
+            ("shards_completed", self.shards_completed),
+            ("shard_retries", self.shard_retries),
+            ("worker_failures", self.worker_failures),
+            ("remote_cache_hits", self.remote_cache_hits),
+            ("remote_cache_misses", self.remote_cache_misses),
+        ]
+    }
 }
 
 /// The coordinator side of the distributed ensemble fabric.
@@ -185,23 +265,10 @@ impl Fabric {
         &self.config
     }
 
-    /// Splits `trials` into shard ranges `[start, end)`.
+    /// Splits `trials` into shard ranges `[start, end)`: `shard_trials`
+    /// each, or about four per registered worker.
     pub fn plan(&self, trials: u64) -> Vec<(u64, u64)> {
-        let shard = if self.config.shard_trials > 0 {
-            self.config.shard_trials
-        } else {
-            let workers = self.registry.len().max(1) as u64;
-            trials.div_ceil(workers * 4)
-        }
-        .max(1);
-        let mut ranges = Vec::with_capacity(trials.div_ceil(shard) as usize);
-        let mut start = 0;
-        while start < trials {
-            let end = (start + shard).min(trials);
-            ranges.push((start, end));
-            start = end;
-        }
-        ranges
+        plan_ranges(trials, self.registry.len() as u64, self.config.shard_trials)
     }
 
     /// Runs one shard on the worker pool: dispatch, retry with bounded
@@ -235,9 +302,9 @@ impl Fabric {
     /// Runs one `/check` grid point on the worker pool, returning the
     /// worker's rendered verdict body verbatim (bodies travel opaquely so
     /// the sweep document stays byte-identical to a local solve). Shares
-    /// the shard dispatch/retry machinery and counters — a point a worker
-    /// answers from its cache counts as a remote cache hit, exactly like a
-    /// replayed shard.
+    /// the shard dispatch/retry/trace machinery and counters — a point a
+    /// worker answers from its cache counts as a remote cache hit, exactly
+    /// like a replayed shard.
     ///
     /// # Errors
     ///
@@ -248,10 +315,11 @@ impl Fabric {
         point: &CheckPoint,
         index: usize,
         cancel: &CancelToken,
+        trace: Option<&ShardTrace>,
     ) -> Result<String, String> {
         let body = point.to_wire();
         let what = format!("check point {index}");
-        self.post_with_retry("/check", &body, &what, cancel, None, |body| {
+        self.post_with_retry("/check", &body, &what, cancel, trace, |body| {
             // A worker that hit its wait timeout answers 200 with a job
             // *status* document; treat anything but a verdict as a failed
             // dispatch so the point retries rather than polluting the sweep.
@@ -302,16 +370,12 @@ impl Fabric {
                 return Err("no workers registered".to_string());
             };
             self.shards_dispatched.fetch_add(1, Ordering::Relaxed);
-            // The dispatch span id is computed *before* the call so the
-            // worker can be told its parent through the trace header.
-            let dispatch_span = trace.map(|t| {
-                (
-                    span_id(&t.trace_id, "dispatch", t.index * 1000 + u64::from(attempt)),
-                    t.sink.now_us(),
-                )
-            });
+            // The dispatch span is numbered *before* the call so the worker
+            // can be told its parent through the trace header.
+            let dispatch_span =
+                trace.map(|t| (t.index * 1000 + u64::from(attempt), t.sink.now_us()));
             let started = Instant::now();
-            let outcome = self
+            let result = self
                 .dispatch(&addr, path, body, trace.zip(dispatch_span))
                 .and_then(|(body, hit)| parse(&body).map(|parsed| (parsed, hit)));
             let rtt = started.elapsed();
@@ -321,23 +385,17 @@ impl Fabric {
                     .histogram(&format!("fabric_shard_rtt_us{{worker=\"{addr}\"}}"))
                     .record(rtt_us);
             }
-            if let (Some(t), Some((id, start_us))) = (trace, dispatch_span) {
-                t.sink.record(Span {
-                    trace_id: t.trace_id.clone(),
-                    id,
-                    parent: Some(t.parent),
-                    name: "dispatch".to_string(),
+            if let (Some(t), Some((index, start_us))) = (trace, dispatch_span) {
+                t.record(
+                    "dispatch",
+                    index,
                     start_us,
-                    end_us: t.sink.now_us(),
-                    attrs: vec![
-                        ("worker".to_string(), addr.clone()),
-                        ("attempt".to_string(), attempt.to_string()),
-                        (
-                            "outcome".to_string(),
-                            if outcome.is_ok() { "ok" } else { "error" }.to_string(),
-                        ),
+                    &[
+                        ("worker", addr.clone()),
+                        ("attempt", attempt.to_string()),
+                        ("outcome", outcome(&result)),
                     ],
-                });
+                );
             }
             event(
                 Level::Trace,
@@ -348,10 +406,10 @@ impl Fabric {
                     ("worker", Value::str(&addr)),
                     ("attempt", Value::U64(u64::from(attempt))),
                     ("rtt_us", Value::U64(rtt_us)),
-                    ("ok", Value::Bool(outcome.is_ok())),
+                    ("ok", Value::Bool(result.is_ok())),
                 ],
             );
-            match outcome {
+            match result {
                 Ok((parsed, cache_hit)) => {
                     self.registry.record_success(&addr, cache_hit);
                     if cache_hit {
@@ -399,10 +457,10 @@ impl Fabric {
             .timeout(self.config.request_timeout)
             .connect_timeout(self.config.connect_timeout);
         let reply = match hop {
-            Some((t, (dispatch_span, _))) => {
+            Some((t, (dispatch_index, _))) => {
                 let context = TraceContext {
                     trace_id: t.trace_id.clone(),
-                    parent: dispatch_span,
+                    parent: span_id(&t.trace_id, "dispatch", dispatch_index),
                 };
                 client.post_with_headers(
                     path,
@@ -435,19 +493,15 @@ impl Fabric {
     /// pool) — the body of `GET /fabric` and the `fabric` section of
     /// `GET /metrics`.
     pub fn render(&self) -> Json {
-        let stats = self.stats();
         let streamed = self.streamed.lock().expect("streamed moments lock");
         let workers: Vec<Json> = self.registry.snapshot().iter().map(render_worker).collect();
-        Json::object([
-            ("shards_dispatched", Json::count(stats.shards_dispatched)),
-            ("shards_completed", Json::count(stats.shards_completed)),
-            ("shard_retries", Json::count(stats.shard_retries)),
-            ("worker_failures", Json::count(stats.worker_failures)),
-            ("remote_cache_hits", Json::count(stats.remote_cache_hits)),
-            (
-                "remote_cache_misses",
-                Json::count(stats.remote_cache_misses),
-            ),
+        let mut members: Vec<_> = self
+            .stats()
+            .counters()
+            .into_iter()
+            .map(|(key, value)| (key, Json::count(value)))
+            .collect();
+        members.extend([
             (
                 "streaming",
                 Json::object([
@@ -457,7 +511,8 @@ impl Fabric {
                 ]),
             ),
             ("workers", Json::Array(workers)),
-        ])
+        ]);
+        Json::object(members)
     }
 }
 

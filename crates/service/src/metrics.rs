@@ -2,17 +2,17 @@
 //!
 //! Counters, gauges and latency histograms live in one
 //! [`obs::MetricsRegistry`]; the legacy JSON body of `GET /metrics` reads
-//! the same handles (so its shape is unchanged), and
+//! the same series (so its shape is unchanged), and
 //! `GET /metrics?format=text` renders the whole registry as a
-//! Prometheus-style text exposition. Cache and scheduler counters live with
-//! their owners ([`ResultCache`](crate::ResultCache),
-//! [`Scheduler`](crate::Scheduler)) and are merged into both bodies by the
-//! app layer.
+//! Prometheus-style text exposition. Cache, scheduler and fabric counters
+//! live with their owners ([`ResultCache`](crate::ResultCache),
+//! [`Scheduler`](crate::Scheduler), [`Fabric`](crate::Fabric)); the app
+//! layer lists them once and renders both bodies from that list.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gillespie::SimProfile;
+use gillespie::{SimProfile, StepperKind};
 use obs::{Counter, Histogram, MetricsRegistry};
 
 /// The per-endpoint telemetry handles the request wrapper bumps: request
@@ -47,7 +47,7 @@ impl EndpointMetrics {
 }
 
 /// The service's typed metrics: a registry plus named handles for the
-/// series the JSON body of `GET /metrics` reads directly.
+/// service-wide series.
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
@@ -60,26 +60,6 @@ pub struct Metrics {
     pub responses_4xx: Arc<Counter>,
     /// Responses with a 5xx status (all endpoints).
     pub responses_5xx: Arc<Counter>,
-    /// `POST /simulate` requests.
-    pub simulate_requests: Arc<Counter>,
-    /// `POST /exact` requests.
-    pub exact_requests: Arc<Counter>,
-    /// `POST /synthesize` requests.
-    pub synthesize_requests: Arc<Counter>,
-    /// `POST /check` requests.
-    pub check_requests: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to the direct method.
-    pub auto_resolved_direct: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to first-reaction.
-    pub auto_resolved_first_reaction: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to next-reaction.
-    pub auto_resolved_next_reaction: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to composition–rejection.
-    pub auto_resolved_composition_rejection: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to tau-leaping.
-    pub auto_resolved_tau_leaping: Arc<Counter>,
-    /// `method: auto` simulate requests resolved to the hybrid stepper.
-    pub auto_resolved_hybrid: Arc<Counter>,
     /// Result-cache lookup latency, microseconds.
     pub cache_lookup_us: Arc<Histogram>,
     /// Scheduler queue wait (submission → first chunk dispatched),
@@ -97,28 +77,20 @@ impl Metrics {
     /// Creates zeroed series with the clock started now.
     pub fn new() -> Metrics {
         let registry = Arc::new(MetricsRegistry::new());
-        let auto = |stepper: &str| {
-            registry.counter(&format!("auto_resolutions_total{{stepper=\"{stepper}\"}}"))
-        };
-        Metrics {
+        let metrics = Metrics {
             started: Instant::now(),
             requests: registry.counter("http_requests_total"),
             responses_4xx: registry.counter("http_responses_total{class=\"4xx\"}"),
             responses_5xx: registry.counter("http_responses_total{class=\"5xx\"}"),
-            simulate_requests: registry.counter("http_requests_total{endpoint=\"simulate\"}"),
-            exact_requests: registry.counter("http_requests_total{endpoint=\"exact\"}"),
-            synthesize_requests: registry.counter("http_requests_total{endpoint=\"synthesize\"}"),
-            check_requests: registry.counter("http_requests_total{endpoint=\"check\"}"),
-            auto_resolved_direct: auto("direct"),
-            auto_resolved_first_reaction: auto("first-reaction"),
-            auto_resolved_next_reaction: auto("next-reaction"),
-            auto_resolved_composition_rejection: auto("composition-rejection"),
-            auto_resolved_tau_leaping: auto("tau-leaping"),
-            auto_resolved_hybrid: auto("hybrid"),
             cache_lookup_us: registry.histogram("cache_lookup_duration_us"),
             queue_wait_us: registry.histogram("scheduler_queue_wait_us"),
             registry,
+        };
+        // The text exposition lists every resolution series from the start.
+        for kind in StepperKind::ALL {
+            metrics.auto_resolution_counter(kind);
         }
+        metrics
     }
 
     /// The registry behind every handle (for the text exposition and for
@@ -147,23 +119,12 @@ impl Metrics {
     }
 
     /// The per-kind resolution counter for an `auto` request that resolved
-    /// to `kind`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` is `Auto` itself — resolution always produces a
-    /// concrete kind.
-    pub fn auto_resolution_counter(&self, kind: gillespie::StepperKind) -> &Arc<Counter> {
-        use gillespie::StepperKind;
-        match kind {
-            StepperKind::Direct => &self.auto_resolved_direct,
-            StepperKind::FirstReaction => &self.auto_resolved_first_reaction,
-            StepperKind::NextReaction => &self.auto_resolved_next_reaction,
-            StepperKind::CompositionRejection => &self.auto_resolved_composition_rejection,
-            StepperKind::TauLeaping => &self.auto_resolved_tau_leaping,
-            StepperKind::Hybrid => &self.auto_resolved_hybrid,
-            StepperKind::Auto => unreachable!("auto always resolves to a concrete kind"),
-        }
+    /// to `kind` (`auto_resolutions_total{stepper="<name>"}`).
+    pub fn auto_resolution_counter(&self, kind: StepperKind) -> Arc<Counter> {
+        self.registry.counter(&format!(
+            "auto_resolutions_total{{stepper=\"{}\"}}",
+            kind.name()
+        ))
     }
 
     /// Adds one chunk's engine work counters to the per-stepper sums
@@ -221,8 +182,15 @@ mod tests {
         assert_eq!(simulate.responses_4xx.get(), 1);
         assert_eq!(simulate.responses_5xx.get(), 1);
         assert_eq!(simulate.latency_us.snapshot().count, 3);
-        // The explicit named handle sees the wrapper's counts: same series.
-        assert_eq!(metrics.simulate_requests.get(), 3);
+        // The registry series the JSON `http.simulate_requests` reads sees
+        // the wrapper's counts: same series.
+        assert_eq!(
+            metrics
+                .registry()
+                .counter("http_requests_total{endpoint=\"simulate\"}")
+                .get(),
+            3
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::http::{read_request, ReadError, Response};
+use crate::json::Json;
 use crate::router::Router;
 
 /// How long an idle keep-alive connection is held open.
@@ -101,14 +102,16 @@ impl Server {
                     let router = Arc::clone(&self.router);
                     let observer = self.observer.clone();
                     let max_body = self.max_body;
-                    let active = Arc::clone(&accept_active);
-                    active.fetch_add(1, Ordering::SeqCst);
-                    let _ = std::thread::Builder::new()
-                        .name("stochsynth-conn".to_string())
-                        .spawn(move || {
-                            serve_connection(stream, &router, observer.as_ref(), max_body);
-                            active.fetch_sub(1, Ordering::SeqCst);
-                        });
+                    spawn_counted(
+                        &accept_active,
+                        move || serve_connection(stream, &router, observer.as_ref(), max_body),
+                        |body| {
+                            std::thread::Builder::new()
+                                .name("stochsynth-conn".to_string())
+                                .spawn(body)
+                                .map(drop)
+                        },
+                    );
                 }
             })
             .expect("spawn accept thread");
@@ -117,6 +120,35 @@ impl Server {
             active,
             accept: Some(accept),
         }
+    }
+}
+
+/// A thread body, as handed to a spawner.
+type ThreadBody = Box<dyn FnOnce() + Send>;
+
+/// Runs `serve` on a thread started by `spawn`, counted in `active` from
+/// now until `serve` returns. The body owns the count's guard, so a failed
+/// spawn, which drops the body unrun, gives the count back too.
+fn spawn_counted(
+    active: &Arc<AtomicUsize>,
+    serve: impl FnOnce() + Send + 'static,
+    spawn: impl FnOnce(ThreadBody) -> std::io::Result<()>,
+) {
+    active.fetch_add(1, Ordering::SeqCst);
+    let guard = ActiveGuard(Arc::clone(active));
+    let _ = spawn(Box::new(move || {
+        let _guard = guard;
+        serve();
+    }));
+}
+
+/// One live connection thread in the server's `active` count, counted out
+/// when dropped.
+struct ActiveGuard(Arc<AtomicUsize>);
+
+impl Drop for ActiveGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -182,7 +214,7 @@ fn serve_connection(
         }
         response.write_to(&mut write_half, close)
     };
-    loop {
+    let (status, error) = loop {
         match read_request(&mut reader, max_body) {
             Ok(request) => {
                 let close = request.wants_close();
@@ -193,28 +225,48 @@ fn serve_connection(
             }
             Err(ReadError::Closed) | Err(ReadError::Io(_)) => return,
             Err(ReadError::TooLarge { limit }) => {
-                let _ = send(
-                    Response::json(
-                        413,
-                        format!("{{\"error\":\"request body exceeds {limit} bytes\"}}"),
-                    ),
-                    true,
-                );
-                return;
+                break (413, format!("request body exceeds {limit} bytes"))
             }
             Err(ReadError::Malformed(message)) => {
-                let _ = send(
-                    Response::json(
-                        400,
-                        format!(
-                            "{{\"error\":\"malformed request: {}\"}}",
-                            message.replace('"', "'")
-                        ),
-                    ),
-                    true,
-                );
-                return;
+                break (400, format!("malformed request: {message}"))
             }
         }
+    };
+    // A framing error echoes request bytes, so its body goes through the
+    // JSON writer, which escapes them.
+    let body = Json::object([("error", Json::str(error))]).render();
+    let _ = send(Response::json(status, body), true);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_connection_spawn_gives_its_count_back() {
+        let active = Arc::new(AtomicUsize::new(0));
+        spawn_counted(
+            &active,
+            || unreachable!("a failed spawn never runs its body"),
+            |_| Err(std::io::Error::other("no threads left")),
+        );
+        assert_eq!(active.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_connection_is_counted_until_its_body_returns() {
+        let active = Arc::new(AtomicUsize::new(0));
+        let mut spawned = None;
+        spawn_counted(
+            &active,
+            || {},
+            |body| {
+                spawned = Some(body);
+                Ok(())
+            },
+        );
+        assert_eq!(active.load(Ordering::SeqCst), 1);
+        spawned.expect("the spawner got the body")();
+        assert_eq!(active.load(Ordering::SeqCst), 0);
     }
 }

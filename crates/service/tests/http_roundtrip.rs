@@ -515,3 +515,42 @@ fn shutdown_is_loopback_only_and_drains_in_flight_jobs() {
     assert_eq!(snapshot.state, service::JobState::Completed);
     handle.join();
 }
+
+/// Regression: framing-error bodies spliced the request line into the JSON
+/// text with only `"` replaced, so a backslash in the request line made
+/// the `400` body invalid JSON. Both framing errors — a malformed request
+/// and an oversized body — must answer with a body the JSON reader accepts,
+/// carrying the offending bytes intact.
+#[test]
+fn framing_error_bodies_are_valid_json() {
+    let mut config = test_config();
+    config.max_body_bytes = 16;
+    let handle = serve(config).expect("bind");
+    let exchange = |raw: &[u8]| -> (String, String) {
+        use std::io::{Read, Write};
+        let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        stream.write_all(raw).expect("send");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read");
+        let (head, body) = response.split_once("\r\n\r\n").expect("framed response");
+        (head.to_string(), body.to_string())
+    };
+
+    let (head, body) = exchange(b"GE\\T / HTTP/1.1\r\nhost: test\r\n\r\n");
+    assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+    let parsed = service::json::parse(&body)
+        .unwrap_or_else(|e| panic!("400 body is not JSON ({e}): {body}"));
+    let error = parsed.get("error").expect("error").as_str("error").unwrap();
+    assert!(error.contains("GE\\T / HTTP/1.1"), "error: {error}");
+
+    // The declared length alone is rejected; no body bytes follow.
+    let (head, body) =
+        exchange(b"POST /simulate HTTP/1.1\r\nhost: test\r\ncontent-length: 64\r\n\r\n");
+    assert!(head.starts_with("HTTP/1.1 413"), "{head}");
+    let parsed = service::json::parse(&body)
+        .unwrap_or_else(|e| panic!("413 body is not JSON ({e}): {body}"));
+    assert!(parsed.get("error").is_some(), "body: {body}");
+
+    handle.shutdown(Duration::from_secs(2));
+    handle.join();
+}

@@ -360,3 +360,80 @@ fn scheduler_gauges_track_queue_depth() {
     );
     shutdown_all([handle]);
 }
+
+/// Sweep points are traced like simulate shards: each grid point records a
+/// `point` span on the coordinator (not a `shard` span, so a sweep still
+/// counts as one chunk wherever chunks are counted from `shard` spans), its
+/// fabric dispatches carry the trace header, and the worker's `/check`
+/// records its solve as a `shard-exec` span under the coordinator's trace —
+/// while the sweep document stays byte-identical to a single-process run.
+#[test]
+fn fabric_sweep_points_record_point_dispatch_and_worker_spans() {
+    let request = "{\"network\":\"x -> h @ {k}\\nx -> t @ 1\",\"initial\":{\"x\":1},\
+                   \"bounds\":{\"policy\":\"strict\",\"default_cap\":1},\
+                   \"property\":{\"type\":\"reach_before\",\
+                   \"target\":{\"species\":\"h\",\"at_least\":1},\
+                   \"competitor\":{\"species\":\"t\",\"at_least\":1}},\
+                   \"sweep\":{\"parameter\":\"k\",\"values\":[1,3,9,27]},\"wait\":WAIT}";
+
+    let single = serve(test_config()).expect("bind single");
+    let reference = Client::new(single.addr())
+        .expect("client")
+        .post("/check", &request.replace("WAIT", "true"))
+        .expect("single-process sweep");
+    assert_eq!(reference.status, 200, "body: {}", reference.body);
+    shutdown_all([single]);
+
+    let (workers, addrs) = boot_workers(2);
+    let coordinator = boot_coordinator(addrs, 250);
+    let client = Client::new(coordinator.addr()).expect("client");
+    let submitted = client
+        .post("/check", &request.replace("WAIT", "false"))
+        .expect("async sweep");
+    assert_eq!(submitted.status, 202, "body: {}", submitted.body);
+    let job = json_number(&submitted.body, &["job"]) as u64;
+    let done = client
+        .get(&format!("/jobs/{job}?wait=1"))
+        .expect("wait for sweep");
+    assert_eq!(done.status, 200, "body: {}", done.body);
+    assert_eq!(
+        done.body, reference.body,
+        "traced fabric sweep diverged from the single-process document"
+    );
+
+    let trace = client.get(&format!("/trace/{job}")).expect("trace query");
+    assert_eq!(trace.status, 200, "body: {}", trace.body);
+    let spans = parse_spans(&trace.body);
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    assert_eq!(count("job"), 1, "spans: {:?}", spans);
+    assert_eq!(count("schedule-wait"), 1, "spans: {:?}", spans);
+    assert_eq!(count("point"), 4, "spans: {:?}", spans);
+    assert_eq!(count("shard"), 0, "spans: {:?}", spans);
+    assert!(count("dispatch") >= 4, "spans: {:?}", spans);
+    let ids: HashSet<&str> = spans.iter().map(|s| s.id.as_str()).collect();
+    for span in spans.iter().filter(|s| s.name != "job") {
+        let parent = span.parent.as_deref().expect("only the root has no parent");
+        assert!(ids.contains(parent), "dangling parent: {:?}", spans);
+    }
+
+    let mut shard_execs = 0;
+    for worker in &workers {
+        let reply = Client::new(worker.addr())
+            .expect("client")
+            .get(&format!("/trace/{job}"))
+            .expect("worker trace query");
+        if reply.status == 200 {
+            shard_execs += parse_spans(&reply.body)
+                .iter()
+                .filter(|s| s.name == "shard-exec")
+                .count();
+        }
+    }
+    assert_eq!(
+        shard_execs, 4,
+        "expected one worker shard-exec span per grid point"
+    );
+
+    shutdown_all([coordinator]);
+    shutdown_all(workers);
+}
