@@ -1,49 +1,84 @@
 //! A small blocking HTTP client for the service's own protocol.
 //!
-//! Used by `stochsynth-cli`, the load generator and the integration tests.
-//! One connection per request (`Connection: close`), JSON bodies only.
+//! [`Client`] is one connection per request (`connection: close`), JSON
+//! bodies only. It serves `stochsynth-cli`, the integration tests and the
+//! benchmark's closed loop. It does not pool: a keep-alive client lets the
+//! benchmark's load generator complete more requests, and the generator
+//! keeps a sample per request, so the process's peak memory would grow
+//! with the generator's bookkeeping rather than with the daemons'.
+//!
+//! The fabric coordinator does keep persistent connections to its workers
+//! (see `fabric.rs`). Both send through [`exchange`], which writes one
+//! request and reads one `content-length`-framed reply with
+//! [`http::read_response`], so the framing code lives in one place.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::http::{self, ReadError};
-use crate::json::{self, Json};
+use crate::http::{self, HttpReply, ReadError};
 
-/// One received HTTP response.
-#[derive(Debug, Clone)]
-pub struct HttpReply {
-    /// The status code.
-    pub status: u16,
-    /// Header `(name, value)` pairs, names lower-cased.
-    pub headers: Vec<(String, String)>,
-    /// The response body.
-    pub body: String,
+/// An open connection: the socket together with its read buffer. They
+/// travel together, because the buffer may hold bytes the socket already
+/// delivered.
+pub(crate) type Connection = BufReader<TcpStream>;
+
+/// Why an [`exchange`] failed.
+#[derive(Debug)]
+pub(crate) enum ExchangeError {
+    /// No byte of a reply arrived: the send failed, or the peer closed the
+    /// connection first. On a reused keep-alive connection that is a
+    /// server which closed it while idle, and the request may be sent
+    /// again on a new connection.
+    NoReply(String),
+    /// Anything else: a read timeout, or a reply that broke off or was
+    /// malformed.
+    Failed(String),
 }
 
-impl HttpReply {
-    /// Looks a header up by (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+impl std::fmt::Display for ExchangeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExchangeError::NoReply(message) | ExchangeError::Failed(message) => {
+                f.write_str(message)
+            }
+        }
     }
+}
 
-    /// Parses the body as JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the JSON parser's message.
-    pub fn json(&self) -> Result<Json, String> {
-        json::parse(&self.body)
+/// Writes one rendered request on `conn` and reads one reply. A reply that
+/// keeps the connection alive leaves `conn` positioned at the next reply.
+///
+/// # Errors
+///
+/// [`ExchangeError::NoReply`] when nothing of a reply arrived (a read
+/// timeout excepted), [`ExchangeError::Failed`] otherwise.
+pub(crate) fn exchange(conn: &mut Connection, request: &str) -> Result<HttpReply, ExchangeError> {
+    if let Err(e) = conn.get_mut().write_all(request.as_bytes()) {
+        return Err(ExchangeError::NoReply(format!("send failed: {e}")));
     }
+    match conn.fill_buf() {
+        Ok([]) => return Err(ExchangeError::NoReply("connection closed".to_string())),
+        Ok(_) => {}
+        Err(e) if is_timeout(&e) => return Err(ExchangeError::Failed(format!("read failed: {e}"))),
+        Err(e) => return Err(ExchangeError::NoReply(format!("read failed: {e}"))),
+    }
+    http::read_response(conn).map_err(|e| {
+        ExchangeError::Failed(match e {
+            ReadError::Malformed(m) => format!("malformed response: {m}"),
+            ReadError::Io(e) => format!("read failed: {e}"),
+            ReadError::Closed => "connection closed".to_string(),
+            ReadError::TooLarge { limit } => format!("response exceeds {limit} bytes"),
+        })
+    })
+}
 
-    /// `true` for 2xx statuses.
-    pub fn is_success(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
+/// `true` for the errors a socket read timeout surfaces as.
+fn is_timeout(error: &std::io::Error) -> bool {
+    matches!(
+        error.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
 }
 
 /// A blocking JSON-over-HTTP client bound to one server address.
@@ -104,12 +139,21 @@ impl Client {
         self.addrs[0]
     }
 
-    /// Opens a connection, trying each resolved address in order.
-    fn connect(&self) -> Result<TcpStream, String> {
+    /// Opens a connection with this client's I/O timeouts, trying each
+    /// resolved address in order.
+    pub(crate) fn connect(&self) -> Result<Connection, String> {
         let mut last_error = String::new();
         for addr in &self.addrs {
             match TcpStream::connect_timeout(addr, self.connect_timeout) {
-                Ok(stream) => return Ok(stream),
+                Ok(stream) => {
+                    stream
+                        .set_read_timeout(Some(self.timeout))
+                        .map_err(|e| e.to_string())?;
+                    stream
+                        .set_write_timeout(Some(self.timeout))
+                        .map_err(|e| e.to_string())?;
+                    return Ok(BufReader::new(stream));
+                }
                 Err(e) => last_error = format!("cannot connect to {addr}: {e}"),
             }
         }
@@ -123,7 +167,7 @@ impl Client {
     /// Returns a transport-level message; HTTP error statuses are returned
     /// as replies, not errors.
     pub fn get(&self, path: &str) -> Result<HttpReply, String> {
-        self.request("GET", path, None, &[])
+        self.request("GET", path, None)
     }
 
     /// Sends `POST path` with a JSON body.
@@ -132,23 +176,7 @@ impl Client {
     ///
     /// See [`Client::get`].
     pub fn post(&self, path: &str, body: &str) -> Result<HttpReply, String> {
-        self.request("POST", path, Some(body), &[])
-    }
-
-    /// Sends `POST path` with a JSON body plus extra request headers (the
-    /// fabric coordinator stamps `X-Stochsynth-Trace` on shard dispatches
-    /// this way). Header names and values must not contain CR/LF.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::get`].
-    pub fn post_with_headers(
-        &self,
-        path: &str,
-        body: &str,
-        headers: &[(&str, &str)],
-    ) -> Result<HttpReply, String> {
-        self.request("POST", path, Some(body), headers)
+        self.request("POST", path, Some(body))
     }
 
     /// Sends `DELETE path`.
@@ -157,31 +185,30 @@ impl Client {
     ///
     /// See [`Client::get`].
     pub fn delete(&self, path: &str) -> Result<HttpReply, String> {
-        self.request("DELETE", path, None, &[])
+        self.request("DELETE", path, None)
     }
 
-    fn request(
+    /// Renders a request to this client's server. `close` asks the server
+    /// to close the connection after its reply; without it the connection
+    /// stays open for the next request.
+    pub(crate) fn render(
         &self,
         method: &str,
         path: &str,
         body: Option<&str>,
         extra_headers: &[(&str, &str)],
-    ) -> Result<HttpReply, String> {
-        let stream = self.connect()?;
-        stream
-            .set_read_timeout(Some(self.timeout))
-            .map_err(|e| e.to_string())?;
-        stream
-            .set_write_timeout(Some(self.timeout))
-            .map_err(|e| e.to_string())?;
-        let mut write_half = stream.try_clone().map_err(|e| e.to_string())?;
+        close: bool,
+    ) -> Result<String, String> {
         let body = body.unwrap_or("");
         let mut request = format!(
             "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-type: application/json\r\n\
-             content-length: {}\r\nconnection: close\r\n",
+             content-length: {}\r\n",
             self.addrs[0],
             body.len()
         );
+        if close {
+            request.push_str("connection: close\r\n");
+        }
         for (name, value) in extra_headers {
             if name.contains(['\r', '\n']) || value.contains(['\r', '\n']) {
                 return Err(format!("header `{name}` contains CR/LF"));
@@ -193,73 +220,12 @@ impl Client {
         }
         request.push_str("\r\n");
         request.push_str(body);
-        write_half
-            .write_all(request.as_bytes())
-            .map_err(|e| format!("send failed: {e}"))?;
-
-        let mut reader = BufReader::new(stream);
-        let status_line = read_line(&mut reader)?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("malformed status line `{status_line}`"))?;
-        let mut headers = Vec::new();
-        let mut content_length: Option<usize> = None;
-        loop {
-            let line = read_line(&mut reader)?;
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim().to_ascii_lowercase();
-                let value = value.trim().to_string();
-                if name == "content-length" {
-                    // Same smuggling hygiene as the server side: conflicting
-                    // duplicates are an attack or a broken proxy, never
-                    // something to silently resolve by last-write-wins.
-                    let parsed: usize = value
-                        .parse()
-                        .map_err(|_| format!("bad content-length `{value}`"))?;
-                    match content_length {
-                        Some(previous) if previous != parsed => {
-                            return Err(format!(
-                                "conflicting content-length headers ({previous} vs {parsed})"
-                            ));
-                        }
-                        _ => content_length = Some(parsed),
-                    }
-                }
-                headers.push((name, value));
-            }
-        }
-        // The protocol frames every body with `Content-Length`. An unframed
-        // response used to fall back to read-to-EOF, which on a keep-alive
-        // connection blocks for the full I/O timeout (10 minutes by
-        // default); fail fast instead.
-        let length =
-            content_length.ok_or("response has no content-length; refusing to read to EOF")?;
-        let mut buffer = vec![0u8; length];
-        reader
-            .read_exact(&mut buffer)
-            .map_err(|e| format!("body read failed: {e}"))?;
-        let body = String::from_utf8(buffer).map_err(|_| "body is not UTF-8".to_string())?;
-        Ok(HttpReply {
-            status,
-            headers,
-            body,
-        })
+        Ok(request)
     }
-}
 
-/// Reads one response line through the server-side capped reader, so a
-/// hostile or broken server streaming an endless header line is cut off at
-/// the same 8 KiB bound `http::read_request` enforces on requests.
-fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, String> {
-    http::read_line(reader).map_err(|e| match e {
-        ReadError::Malformed(m) => format!("malformed response: {m}"),
-        ReadError::Io(e) => format!("read failed: {e}"),
-        ReadError::Closed => "connection closed".to_string(),
-        ReadError::TooLarge { limit } => format!("response line exceeds {limit} bytes"),
-    })
+    fn request(&self, method: &str, path: &str, body: Option<&str>) -> Result<HttpReply, String> {
+        let request = self.render(method, path, body, &[], true)?;
+        let mut conn = self.connect()?;
+        exchange(&mut conn, &request).map_err(|e| e.to_string())
+    }
 }

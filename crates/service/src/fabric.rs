@@ -22,6 +22,17 @@
 //!   backoff; the worker registry's consecutive-failure counter steers
 //!   round-robin away from dead workers until they answer again.
 //!
+//! Dispatches travel over persistent keep-alive connections: each takes an
+//! idle connection to its worker, or opens one when none is idle, and hands
+//! it back after a clean reply. A connection is opened only when none is
+//! idle, so the pool never holds more connections to a worker than
+//! dispatches ran to it at once (at most the coordinator's scheduler
+//! threads). A worker closes an idle connection when it stops or after its
+//! idle timeout; a request that gets no reply byte on a *reused*
+//! connection is therefore sent once more on a new one, and that counts as
+//! neither a worker failure nor a retry. The `connections_opened` and
+//! `connections_reused` counters show how often each happened.
+//!
 //! Cache federation has two tiers: the coordinator's own
 //! [`ResultCache`](crate::ResultCache) answers whole-job replays, and each
 //! worker caches its shards under their range-keyed documents, so a
@@ -40,6 +51,7 @@
 //! the trial ranges come from the same [`plan_ranges`] a daemon without
 //! workers uses to cut ensembles into in-process units.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -51,7 +63,8 @@ use obs::trace::{span_id, Span, TraceContext, TraceSink};
 use obs::MetricsRegistry;
 
 use crate::api::{CheckPoint, SimulateRequest};
-use crate::client::Client;
+use crate::client::{exchange, Client, Connection, ExchangeError};
+use crate::http::HttpReply;
 use crate::json::Json;
 use crate::registry::{WorkerRegistry, WorkerSnapshot};
 
@@ -188,13 +201,17 @@ pub struct FabricStats {
     pub remote_cache_hits: u64,
     /// Shards a worker had to compute.
     pub remote_cache_misses: u64,
+    /// TCP connections dispatches opened to workers.
+    pub connections_opened: u64,
+    /// Dispatches sent on a pooled keep-alive connection.
+    pub connections_reused: u64,
 }
 
 impl FabricStats {
     /// The counters under their JSON keys: the one list `GET /fabric` and
     /// both `GET /metrics` formats render (the text series of `key` is
     /// `fabric_<key>_total`).
-    pub(crate) fn counters(&self) -> [(&'static str, u64); 6] {
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 8] {
         [
             ("shards_dispatched", self.shards_dispatched),
             ("shards_completed", self.shards_completed),
@@ -202,6 +219,8 @@ impl FabricStats {
             ("worker_failures", self.worker_failures),
             ("remote_cache_hits", self.remote_cache_hits),
             ("remote_cache_misses", self.remote_cache_misses),
+            ("connections_opened", self.connections_opened),
+            ("connections_reused", self.connections_reused),
         ]
     }
 }
@@ -217,6 +236,10 @@ pub struct Fabric {
     worker_failures: AtomicU64,
     remote_cache_hits: AtomicU64,
     remote_cache_misses: AtomicU64,
+    connections_opened: AtomicU64,
+    connections_reused: AtomicU64,
+    /// Idle keep-alive connections, by worker address.
+    idle: Mutex<HashMap<String, Vec<Connection>>>,
     /// Running final-time statistics over every trial merged so far, fed
     /// by shard moments as they land — the streaming monitoring surface of
     /// long jobs (`GET /fabric` exposes it mid-flight).
@@ -242,6 +265,9 @@ impl Fabric {
             worker_failures: AtomicU64::new(0),
             remote_cache_hits: AtomicU64::new(0),
             remote_cache_misses: AtomicU64::new(0),
+            connections_opened: AtomicU64::new(0),
+            connections_reused: AtomicU64::new(0),
+            idle: Mutex::new(HashMap::new()),
             streamed: Mutex::new(Moments::new()),
             metrics: None,
         }
@@ -456,25 +482,72 @@ impl Fabric {
         let client = Client::new(addr)?
             .timeout(self.config.request_timeout)
             .connect_timeout(self.config.connect_timeout);
-        let reply = match hop {
-            Some((t, (dispatch_index, _))) => {
-                let context = TraceContext {
-                    trace_id: t.trace_id.clone(),
-                    parent: span_id(&t.trace_id, "dispatch", dispatch_index),
-                };
-                client.post_with_headers(
-                    path,
-                    body,
-                    &[(TRACE_HEADER, context.header_value().as_str())],
-                )?
+        let trace_header = hop.map(|(t, (dispatch_index, _))| {
+            TraceContext {
+                trace_id: t.trace_id.clone(),
+                parent: span_id(&t.trace_id, "dispatch", dispatch_index),
             }
-            None => client.post(path, body)?,
-        };
+            .header_value()
+        });
+        let headers: Vec<(&str, &str)> = trace_header
+            .iter()
+            .map(|value| (TRACE_HEADER, value.as_str()))
+            .collect();
+        let request = client.render("POST", path, Some(body), &headers, false)?;
+        let reply = self.send(addr, &client, &request)?;
         if !reply.is_success() {
             return Err(format!("status {}: {}", reply.status, reply.body));
         }
         let cache_hit = reply.header("cache") == Some("hit");
         Ok((reply.body, cache_hit))
+    }
+
+    /// Sends `request` to the worker at `addr` on an idle pooled
+    /// connection, or on a new one when none is idle, and pools the
+    /// connection again after a reply that keeps it alive. A pooled
+    /// connection that gets no reply byte was closed by the worker while
+    /// idle: the request goes once more on a new connection.
+    fn send(&self, addr: &str, client: &Client, request: &str) -> Result<HttpReply, String> {
+        let pooled = self
+            .idle
+            .lock()
+            .expect("connection pool lock")
+            .get_mut(addr)
+            .and_then(Vec::pop);
+        let (conn, reply) = match pooled {
+            Some(mut conn) => {
+                self.connections_reused.fetch_add(1, Ordering::Relaxed);
+                match exchange(&mut conn, request) {
+                    Ok(reply) => (conn, reply),
+                    Err(ExchangeError::NoReply(_)) => self.send_on_new(client, request)?,
+                    Err(error) => return Err(error.to_string()),
+                }
+            }
+            None => self.send_on_new(client, request)?,
+        };
+        // Bytes past the reply mean the stream lost its framing; such a
+        // connection is dropped, not reused.
+        if reply.keeps_alive() && conn.buffer().is_empty() {
+            self.idle
+                .lock()
+                .expect("connection pool lock")
+                .entry(addr.to_string())
+                .or_default()
+                .push(conn);
+        }
+        Ok(reply)
+    }
+
+    /// Sends `request` on a new connection to `client`'s worker.
+    fn send_on_new(
+        &self,
+        client: &Client,
+        request: &str,
+    ) -> Result<(Connection, HttpReply), String> {
+        let mut conn = client.connect()?;
+        self.connections_opened.fetch_add(1, Ordering::Relaxed);
+        let reply = exchange(&mut conn, request).map_err(|e| e.to_string())?;
+        Ok((conn, reply))
     }
 
     /// The fabric counters.
@@ -486,6 +559,8 @@ impl Fabric {
             worker_failures: self.worker_failures.load(Ordering::Relaxed),
             remote_cache_hits: self.remote_cache_hits.load(Ordering::Relaxed),
             remote_cache_misses: self.remote_cache_misses.load(Ordering::Relaxed),
+            connections_opened: self.connections_opened.load(Ordering::Relaxed),
+            connections_reused: self.connections_reused.load(Ordering::Relaxed),
         }
     }
 

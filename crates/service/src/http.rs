@@ -1,14 +1,18 @@
-//! Minimal HTTP/1.1 message framing over `std::net` streams.
+//! Minimal HTTP/1.1 message framing over blocking byte streams.
 //!
 //! This is deliberately not a general web server: it implements exactly the
-//! subset the service needs — request-line + header parsing,
-//! `Content-Length`-framed bodies, keep-alive connections and response
-//! serialisation — on blocking `TcpStream`s with no dependencies. Chunked
-//! transfer encoding, multipart bodies and TLS are out of scope; callers
-//! that need them terminate HTTP in front of the service.
+//! subset the service needs — request and reply parsing from any
+//! [`BufRead`], `Content-Length`-framed bodies, keep-alive connections and
+//! response serialisation — with no dependencies. Both directions share one
+//! header reader, so the server and the client frame messages the same way:
+//! a parse consumes exactly one message and nothing past its body, which is
+//! what lets a keep-alive connection carry the next one. Chunked transfer
+//! encoding, multipart bodies and TLS are out of scope; callers that need
+//! them terminate HTTP in front of the service.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, Read, Write};
+
+use crate::json::{self, Json};
 
 /// The HTTP methods the service routes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,26 +64,34 @@ pub struct Request {
 impl Request {
     /// Looks a header up by (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// Returns `true` when the client asked for the connection to close.
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        says_close(&self.headers)
     }
 }
 
-/// Why reading a request failed.
+/// Looks a header up by (case-insensitive) name among parsed headers.
+fn find_header<'a>(headers: &'a Headers, name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
+
+/// `true` when the headers say the connection closes after this message.
+fn says_close(headers: &Headers) -> bool {
+    find_header(headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
+}
+
+/// Why reading a request or a reply failed.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The peer closed the connection cleanly before a request started.
+    /// The peer closed the connection cleanly before a message started.
     Closed,
-    /// The bytes on the wire were not a well-formed HTTP/1.1 request.
+    /// The bytes on the wire were not a well-formed HTTP/1.1 message.
     Malformed(String),
     /// The declared body length exceeds the configured limit.
     TooLarge {
@@ -90,7 +102,7 @@ pub enum ReadError {
     Io(std::io::Error),
 }
 
-/// Reads one request from the connection.
+/// Reads one request, consuming nothing past the end of its body.
 ///
 /// # Errors
 ///
@@ -98,10 +110,7 @@ pub enum ReadError {
 /// [`ReadError::Malformed`] on framing errors, [`ReadError::TooLarge`] when
 /// the declared `Content-Length` exceeds `max_body`, and [`ReadError::Io`]
 /// for socket failures.
-pub fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    max_body: usize,
-) -> Result<Request, ReadError> {
+pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, ReadError> {
     let request_line = read_line(reader)?;
     if request_line.is_empty() {
         return Err(ReadError::Closed);
@@ -126,7 +135,101 @@ pub fn read_request(
         Some((p, q)) => (p.to_string(), Some(q.to_string())),
         None => (target.to_string(), None),
     };
+    let (headers, declared_length) = read_headers(reader)?;
+    let content_length = declared_length.unwrap_or(0);
+    if content_length > max_body {
+        return Err(ReadError::TooLarge { limit: max_body });
+    }
+    let body = read_body(reader, content_length, "request")?;
+    Ok(Request {
+        method,
+        path,
+        query,
+        headers,
+        body,
+    })
+}
 
+/// One received HTTP response.
+#[derive(Debug, Clone)]
+pub struct HttpReply {
+    /// The status code.
+    pub status: u16,
+    /// Header `(name, value)` pairs, names lower-cased.
+    pub headers: Vec<(String, String)>,
+    /// The response body.
+    pub body: String,
+}
+
+impl HttpReply {
+    /// Looks a header up by (case-insensitive) name.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        find_header(&self.headers, name)
+    }
+
+    /// Parses the body as JSON.
+    ///
+    /// # Errors
+    ///
+    /// Returns the JSON parser's message.
+    pub fn json(&self) -> Result<Json, String> {
+        json::parse(&self.body)
+    }
+
+    /// `true` for 2xx statuses.
+    pub fn is_success(&self) -> bool {
+        (200..300).contains(&self.status)
+    }
+
+    /// `true` unless the server said it closes the connection after this
+    /// reply.
+    pub fn keeps_alive(&self) -> bool {
+        !says_close(&self.headers)
+    }
+}
+
+/// Reads one reply, consuming nothing past the end of its body. Every
+/// reply must carry a `Content-Length`: reading an unframed body to EOF
+/// would block a keep-alive connection for its whole I/O timeout.
+///
+/// # Errors
+///
+/// [`ReadError::Closed`] on clean EOF before any reply bytes,
+/// [`ReadError::Malformed`] on framing errors (a missing `Content-Length`
+/// included) and [`ReadError::Io`] for socket failures, a body cut short
+/// included.
+pub fn read_response<R: BufRead>(reader: &mut R) -> Result<HttpReply, ReadError> {
+    let status_line = read_line(reader)?;
+    if status_line.is_empty() {
+        return Err(ReadError::Closed);
+    }
+    let mut parts = status_line.split_whitespace();
+    let status = match (parts.next(), parts.next().map(str::parse::<u16>)) {
+        (Some(version), Some(Ok(status))) if version.starts_with("HTTP/1.") => status,
+        _ => {
+            return Err(ReadError::Malformed(format!(
+                "malformed status line `{status_line}`"
+            )))
+        }
+    };
+    let (headers, declared_length) = read_headers(reader)?;
+    let length = declared_length.ok_or_else(|| {
+        ReadError::Malformed("response has no content-length; refusing to read to EOF".to_string())
+    })?;
+    let body = read_body(reader, length, "response")?;
+    Ok(HttpReply {
+        status,
+        headers,
+        body,
+    })
+}
+
+/// Header `(name, value)` pairs, names lower-cased.
+type Headers = Vec<(String, String)>;
+
+/// Reads a header section up to its blank line: the headers and the
+/// declared `Content-Length`, if any.
+fn read_headers<R: BufRead>(reader: &mut R) -> Result<(Headers, Option<usize>), ReadError> {
     let mut headers = Vec::new();
     let mut declared_length: Option<usize> = None;
     loop {
@@ -137,7 +240,7 @@ pub fn read_request(
         }
         let line = read_line(reader)?;
         if line.is_empty() {
-            break;
+            return Ok((headers, declared_length));
         }
         let (name, value) = line
             .split_once(':')
@@ -164,22 +267,27 @@ pub fn read_request(
         }
         headers.push((name, value));
     }
-    let content_length = declared_length.unwrap_or(0);
-    if content_length > max_body {
-        return Err(ReadError::TooLarge { limit: max_body });
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(ReadError::Io)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| ReadError::Malformed("request body is not UTF-8".to_string()))?;
+}
 
-    Ok(Request {
-        method,
-        path,
-        query,
-        headers,
-        body,
-    })
+/// Bodies are read into a buffer that grows with the bytes that arrive,
+/// from at most this much up front, so a hostile `Content-Length` costs no
+/// more memory than the bytes actually sent.
+const BODY_PREALLOCATION: usize = 64 * 1024;
+
+/// Reads exactly `length` body bytes as UTF-8 text.
+fn read_body<R: BufRead>(reader: &mut R, length: usize, what: &str) -> Result<String, ReadError> {
+    let mut body = Vec::with_capacity(length.min(BODY_PREALLOCATION));
+    reader
+        .take(length as u64)
+        .read_to_end(&mut body)
+        .map_err(ReadError::Io)?;
+    if body.len() < length {
+        return Err(ReadError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("{what} body ended after {} of {length} bytes", body.len()),
+        )));
+    }
+    String::from_utf8(body).map_err(|_| ReadError::Malformed(format!("{what} body is not UTF-8")))
 }
 
 /// Request/header lines past 8 KiB are hostile input, not HTTP.
@@ -190,9 +298,9 @@ const MAX_HEADERS: usize = 128;
 
 /// Reads one CRLF-terminated line, enforcing [`MAX_LINE_BYTES`] *while*
 /// reading — an attacker streaming an endless unterminated line is cut off
-/// at the cap instead of growing a buffer without bound. Shared with the
-/// client, which needs the same discipline against hostile *servers*.
-pub(crate) fn read_line<R: BufRead>(reader: &mut R) -> Result<String, ReadError> {
+/// at the cap instead of growing a buffer without bound. Replies are read
+/// the same way, against hostile *servers*.
+fn read_line<R: BufRead>(reader: &mut R) -> Result<String, ReadError> {
     let mut line: Vec<u8> = Vec::new();
     loop {
         let buffer = reader.fill_buf().map_err(ReadError::Io)?;
@@ -270,7 +378,7 @@ impl Response {
     /// # Errors
     ///
     /// Propagates socket write errors.
-    pub fn write_to(&self, stream: &mut TcpStream, close: bool) -> std::io::Result<()> {
+    pub fn write_to<W: Write>(&self, stream: &mut W, close: bool) -> std::io::Result<()> {
         // `application/json` is the protocol default; a response that set
         // its own `content-type` header (the text metrics exposition)
         // overrides it instead of sending two.
@@ -321,6 +429,7 @@ fn status_text(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
     use std::net::{TcpListener, TcpStream};
 
     /// Round-trips one request/response pair over a real socket.

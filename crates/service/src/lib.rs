@@ -79,10 +79,10 @@ mod client;
 
 pub use app::{serve, App, ServiceConfig, ServiceHandle};
 pub use cache::{CacheStats, ResultCache};
-pub use client::{Client, HttpReply};
+pub use client::Client;
 pub use error::ServiceError;
 pub use fabric::{Fabric, FabricConfig, FabricStats, ShardTrace, TRACE_HEADER};
-pub use http::{Method, Request, Response};
+pub use http::{HttpReply, Method, Request, Response};
 pub use metrics::{EndpointMetrics, Metrics};
 pub use registry::{WorkerRegistry, WorkerSnapshot};
 pub use router::{Handler, RouteContext, Router};

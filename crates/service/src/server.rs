@@ -6,12 +6,16 @@
 //! the read timeout (an idle keep-alive connection closes itself), and the
 //! accept loop exits when the configured stop predicate turns true — the
 //! app's `/shutdown` handler raises its flag and self-connects to wake the
-//! loop.
+//! loop. On its way out the loop closes every idle connection, and a
+//! connection with a request in flight writes its reply with
+//! `connection: close` and then closes, so a stopped server answers no
+//! further requests on connections its clients keep open.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::http::{read_request, ReadError, Response};
@@ -94,17 +98,26 @@ impl Server {
         let accept = std::thread::Builder::new()
             .name("stochsynth-accept".to_string())
             .spawn(move || {
+                let connections = Arc::new(Connections::default());
                 for stream in self.listener.incoming() {
                     if (self.stop)() {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    let registered = connections.register(stream);
                     let router = Arc::clone(&self.router);
                     let observer = self.observer.clone();
                     let max_body = self.max_body;
                     spawn_counted(
                         &accept_active,
-                        move || serve_connection(stream, &router, observer.as_ref(), max_body),
+                        move || {
+                            serve_connection(
+                                &registered.connection,
+                                &router,
+                                observer.as_ref(),
+                                max_body,
+                            )
+                        },
                         |body| {
                             std::thread::Builder::new()
                                 .name("stochsynth-conn".to_string())
@@ -113,6 +126,7 @@ impl Server {
                         },
                     );
                 }
+                connections.close_idle();
             })
             .expect("spawn accept thread");
         ServerHandle {
@@ -152,6 +166,73 @@ impl Drop for ActiveGuard {
     }
 }
 
+/// A connection waits for its next request to start.
+const IDLE: u8 = 0;
+/// A connection reads, handles or answers a request.
+const BUSY: u8 = 1;
+/// The server stopped: a busy connection closes after its reply.
+const CLOSING: u8 = 2;
+
+/// One open connection, shared by its thread and the server's stop.
+struct Connection {
+    stream: TcpStream,
+    /// [`IDLE`], [`BUSY`] or [`CLOSING`].
+    phase: AtomicU8,
+}
+
+/// The server's open connections, so that stopping can close the idle
+/// ones. The accept loop registers each connection before its thread
+/// starts, and the thread's exit removes it: O(1) work per connection.
+#[derive(Default)]
+struct Connections {
+    next_id: AtomicU64,
+    open: Mutex<HashMap<u64, Arc<Connection>>>,
+}
+
+impl Connections {
+    fn register(self: &Arc<Self>, stream: TcpStream) -> Registered {
+        let connection = Arc::new(Connection {
+            stream,
+            phase: AtomicU8::new(IDLE),
+        });
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.open
+            .lock()
+            .expect("connection table lock")
+            .insert(id, Arc::clone(&connection));
+        Registered {
+            connections: Arc::clone(self),
+            id,
+            connection,
+        }
+    }
+
+    /// Shuts every idle connection down, which wakes its thread's read with
+    /// end of file, and marks every busy one to close after its reply.
+    fn close_idle(&self) {
+        for connection in self.open.lock().expect("connection table lock").values() {
+            if connection.phase.swap(CLOSING, Ordering::SeqCst) == IDLE {
+                let _ = connection.stream.shutdown(Shutdown::Both);
+            }
+        }
+    }
+}
+
+/// A connection's entry in [`Connections`], removed when dropped.
+struct Registered {
+    connections: Arc<Connections>,
+    id: u64,
+    connection: Arc<Connection>,
+}
+
+impl Drop for Registered {
+    fn drop(&mut self) {
+        if let Ok(mut open) = self.connections.open.lock() {
+            open.remove(&self.id);
+        }
+    }
+}
+
 /// A running server.
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -184,8 +265,8 @@ impl ServerHandle {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        // Connection threads are short-lived (bounded by the read timeout);
-        // give responses in flight a moment to finish writing.
+        // The accept loop closed the idle connections on its way out; give
+        // responses in flight a moment to finish writing.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while self.active.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -194,32 +275,48 @@ impl ServerHandle {
 }
 
 /// Serves one connection: request → dispatch → response, looping for
-/// keep-alive until the peer closes, errors, or asks to close.
+/// keep-alive until the peer closes, errors, or asks to close, or the
+/// server stops.
 fn serve_connection(
-    stream: TcpStream,
+    connection: &Connection,
     router: &Router,
     observer: Option<&ResponseObserver>,
     max_body: usize,
 ) {
+    let stream = &connection.stream;
     let Ok(peer) = stream.peer_addr() else { return };
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut write_half = write_half;
     let mut reader = BufReader::new(stream);
-    let mut send = |response: Response, close: bool| -> std::io::Result<()> {
+    let send = |response: Response, close: bool| -> std::io::Result<()> {
         if let Some(observer) = observer {
             observer(&response);
         }
-        response.write_to(&mut write_half, close)
+        response.write_to(&mut &*stream, close)
     };
+    let phase = &connection.phase;
     let (status, error) = loop {
+        // Wait for the next request to start, then leave the idle phase,
+        // unless the server stopped in the meantime.
+        if !matches!(reader.fill_buf(), Ok(bytes) if !bytes.is_empty()) {
+            return;
+        }
+        if phase
+            .compare_exchange(IDLE, BUSY, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            return;
+        }
         match read_request(&mut reader, max_body) {
             Ok(request) => {
-                let close = request.wants_close();
                 let response = router.dispatch(&request, peer);
+                let close = request.wants_close() || phase.load(Ordering::SeqCst) == CLOSING;
                 if send(response, close).is_err() || close {
+                    return;
+                }
+                if phase
+                    .compare_exchange(BUSY, IDLE, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_err()
+                {
                     return;
                 }
             }

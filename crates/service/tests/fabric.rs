@@ -597,3 +597,111 @@ fn large_jobs_stream_with_bounded_coordinator_state() {
     shutdown_all([coordinator]);
     shutdown_all(workers);
 }
+
+/// A fake worker that answers every request with `body` over keep-alive and
+/// then closes the connection anyway, as a worker does to idle connections
+/// when it stops. It serves `connections` connections, one request each,
+/// and returns how many requests it answered.
+fn closing_worker(body: String, connections: usize) -> (String, std::thread::JoinHandle<usize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let worker = std::thread::spawn(move || {
+        let mut answered = 0;
+        for stream in listener.incoming().take(connections) {
+            let mut stream = stream.expect("accept");
+            let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+            if service::http::read_request(&mut reader, 1 << 20).is_ok() {
+                service::Response::json(200, body.clone())
+                    .header("cache", "miss")
+                    .write_to(&mut stream, false)
+                    .expect("reply");
+                answered += 1;
+            }
+        }
+        answered
+    });
+    (addr, worker)
+}
+
+/// A pooled connection the worker closed while it sat idle is replaced once
+/// by a new one: both dispatches succeed, and neither a worker failure nor
+/// a shard retry is counted.
+#[test]
+fn stale_pooled_connections_are_replaced_without_a_failure() {
+    let body = service::json::parse(&coin_request(5, 100)).expect("valid JSON");
+    let request = service::api::SimulateRequest::parse(&body).expect("valid request");
+
+    // A real worker's reply to the shard, replayed by the fake worker.
+    let (workers, addrs) = boot_workers(1);
+    let reply = Client::new(addrs[0].as_str())
+        .expect("client")
+        .post("/simulate", &request.to_wire((0, 100)))
+        .expect("real shard");
+    assert_eq!(reply.status, 200, "body: {}", reply.body);
+    shutdown_all(workers);
+
+    let (addr, worker) = closing_worker(reply.body, 2);
+    let fabric = service::Fabric::new(FabricConfig {
+        workers: vec![addr],
+        ..FabricConfig::default()
+    });
+    let cancel = gillespie::engine::CancelToken::new();
+    for dispatch in 0..2 {
+        fabric
+            .run_shard(&request, (0, 100), &cancel, None)
+            .unwrap_or_else(|e| panic!("dispatch {dispatch}: {e}"));
+    }
+    let stats = fabric.stats();
+    assert_eq!(stats.shards_completed, 2);
+    assert_eq!(stats.worker_failures, 0);
+    assert_eq!(stats.shard_retries, 0);
+    assert_eq!(stats.connections_reused, 1, "{stats:?}");
+    assert_eq!(stats.connections_opened, 2, "{stats:?}");
+    assert_eq!(worker.join().expect("fake worker"), 2);
+}
+
+/// Dispatches reuse pooled connections: with 2 scheduler threads a
+/// coordinator runs at most 2 dispatches at once, so it never opens more
+/// than 2 connections to each of its 2 workers, and every dispatch either
+/// opened a connection or reused one. The counters reach all three
+/// renderings.
+#[test]
+fn dispatches_reuse_pooled_connections() {
+    let (workers, addrs) = boot_workers(2);
+    let coordinator = boot_coordinator(addrs, 250);
+    let client = Client::new(coordinator.addr()).expect("client");
+    for seed in 0..3 {
+        let reply = client
+            .post("/simulate", &coin_request(seed, 1_000))
+            .expect("fabric run");
+        assert_eq!(reply.status, 200, "body: {}", reply.body);
+    }
+
+    let fabric = client.get("/fabric").expect("fabric state");
+    let dispatched = json_number(&fabric.body, &["shards_dispatched"]);
+    let opened = json_number(&fabric.body, &["connections_opened"]);
+    let reused = json_number(&fabric.body, &["connections_reused"]);
+    assert_eq!(dispatched, 12.0, "{}", fabric.body);
+    assert!(opened <= 4.0, "{}", fabric.body);
+    assert_eq!(opened + reused, dispatched, "{}", fabric.body);
+
+    let metrics = client.get("/metrics").expect("metrics");
+    assert_eq!(
+        json_number(&metrics.body, &["fabric", "connections_reused"]),
+        reused
+    );
+    let text = client.get("/metrics?format=text").expect("text metrics");
+    for line in [
+        format!("fabric_connections_opened_total {opened}\n"),
+        format!("fabric_connections_reused_total {reused}\n"),
+    ] {
+        assert!(
+            text.body.contains(&line),
+            "missing {line:?} in {}",
+            text.body
+        );
+    }
+
+    shutdown_all([coordinator]);
+    shutdown_all(workers);
+}

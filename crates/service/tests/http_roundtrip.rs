@@ -554,3 +554,34 @@ fn framing_error_bodies_are_valid_json() {
     handle.shutdown(Duration::from_secs(2));
     handle.join();
 }
+
+/// Stopping closes idle keep-alive connections: a client holding one open
+/// neither stalls `join` nor gets answers from the stopped server.
+#[test]
+fn stop_closes_idle_keep_alive_connections() {
+    use std::io::{BufReader, Write};
+    let handle = serve(test_config()).expect("bind");
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let healthz = b"GET /healthz HTTP/1.1\r\nhost: test\r\n\r\n";
+    stream.write_all(healthz).expect("send");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let reply = service::http::read_response(&mut reader).expect("reply");
+    assert_eq!(reply.status, 200, "body: {}", reply.body);
+    assert!(reply.keeps_alive(), "{:?}", reply.headers);
+
+    handle.shutdown(Duration::from_secs(2));
+    let started = std::time::Instant::now();
+    handle.join();
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(1), "join waited {waited:?}");
+
+    let _ = stream.write_all(healthz);
+    let again = service::http::read_response(&mut reader);
+    assert!(
+        !matches!(&again, Ok(reply) if reply.status == 200),
+        "a stopped server answered: {again:?}"
+    );
+}

@@ -1,11 +1,16 @@
 //! Property tests of the service's network-facing codecs: the JSON reader
-//! and writer, and the canonical request documents that a coordinator and
-//! its workers must agree on byte for byte.
+//! and writer, the HTTP request and reply framing, and the canonical
+//! request documents that a coordinator and its workers must agree on byte
+//! for byte.
+
+use std::io::{BufReader, Read};
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use service::api::{CheckRequest, SimulateRequest};
+use service::http::{self, ReadError};
 use service::json::{self, Json};
+use service::Response;
 
 /// A uniform index below `n`.
 fn pick(rng: &mut TestRng, n: usize) -> usize {
@@ -427,6 +432,192 @@ impl Strategy for CheckCases {
     }
 }
 
+/// Strategy: byte strings built from HTTP tokens (methods, versions,
+/// separators, header names, lengths up to past `u64::MAX`) and arbitrary
+/// bytes, so the parsers get past their first line often.
+struct HttpGarbage;
+
+impl Strategy for HttpGarbage {
+    type Value = Vec<u8>;
+
+    fn generate(&self, rng: &mut TestRng) -> Vec<u8> {
+        const TOKENS: [&[u8]; 21] = [
+            b"GET",
+            b"POST",
+            b"DELETE",
+            b"HTTP/1.1",
+            b"HTTP/2",
+            b"200",
+            b" ",
+            b"\r\n",
+            b"\n",
+            b"\r\n\r\n",
+            b":",
+            b"/x?q",
+            b"content-length",
+            b"Content-Length: ",
+            b"connection: close",
+            b"0",
+            b"7",
+            b"99999999999",
+            b"18446744073709551616",
+            b"{\"a\":1}",
+            b"\xff\xfe",
+        ];
+        let mut bytes = Vec::new();
+        for _ in 0..pick(rng, 48) {
+            if pick(rng, 4) == 0 {
+                bytes.push(pick(rng, 256) as u8);
+            } else {
+                bytes.extend_from_slice(TOKENS[pick(rng, TOKENS.len())]);
+            }
+        }
+        bytes
+    }
+}
+
+/// A header name written with random letter case.
+fn header_case(rng: &mut TestRng, name: &str) -> String {
+    name.chars()
+        .map(|c| if coin(rng) { c.to_ascii_uppercase() } else { c })
+        .collect()
+}
+
+/// A header value: printable ASCII with no surrounding spaces (the parser
+/// trims them).
+fn header_value(rng: &mut TestRng) -> String {
+    (0..pick(rng, 12))
+        .map(|_| char::from(0x21 + pick(rng, 0x5e) as u8))
+        .collect()
+}
+
+/// One request as the parser should read it back, and its bytes on the
+/// wire: random method, target, header case and spacing, and a body framed
+/// by `content-length` (omitted now and then when the body is empty).
+#[derive(Debug)]
+struct WireRequest {
+    method: &'static str,
+    path: String,
+    query: Option<String>,
+    headers: Vec<(String, String)>,
+    body: String,
+    bytes: Vec<u8>,
+}
+
+fn wire_request(rng: &mut TestRng) -> WireRequest {
+    let method = ["GET", "POST", "DELETE"][pick(rng, 3)];
+    let segment = |rng: &mut TestRng| -> String {
+        (0..pick(rng, 8))
+            .map(|_| char::from(b"abz09-_./%"[pick(rng, 10)]))
+            .collect()
+    };
+    let path = format!("/{}", segment(rng));
+    let query = coin(rng).then(|| segment(rng));
+    let body = text(rng, 24).replace('\r', "");
+    let mut headers: Vec<(String, String)> = (0..pick(rng, 4))
+        .map(|i| (format!("x-h{i}"), header_value(rng)))
+        .collect();
+    if !body.is_empty() || coin(rng) {
+        headers.insert(
+            pick(rng, headers.len() + 1),
+            ("content-length".to_string(), body.len().to_string()),
+        );
+    }
+    let mut wire = format!("{method} {path}");
+    if let Some(query) = &query {
+        wire.push_str(&format!("?{query}"));
+    }
+    wire.push_str(&format!(" HTTP/1.{}\r\n", pick(rng, 2)));
+    for (name, value) in &headers {
+        let space = [" ", "", "  "][pick(rng, 3)];
+        wire.push_str(&format!("{}:{space}{value}\r\n", header_case(rng, name)));
+    }
+    wire.push_str("\r\n");
+    wire.push_str(&body);
+    WireRequest {
+        method,
+        path,
+        query,
+        headers,
+        body,
+        bytes: wire.into_bytes(),
+    }
+}
+
+/// Two requests and the bytes that follow them on the stream.
+#[derive(Debug)]
+struct RequestPair {
+    requests: [WireRequest; 2],
+    trailer: Vec<u8>,
+}
+
+struct RequestPairs;
+
+impl Strategy for RequestPairs {
+    type Value = RequestPair;
+
+    fn generate(&self, rng: &mut TestRng) -> RequestPair {
+        RequestPair {
+            requests: [wire_request(rng), wire_request(rng)],
+            trailer: HttpGarbage.generate(rng),
+        }
+    }
+}
+
+/// One reply as the server writes it.
+#[derive(Debug)]
+struct WireReply {
+    status: u16,
+    header: (String, String),
+    body: String,
+    close: bool,
+}
+
+/// Two replies and the bytes that follow them on the stream.
+#[derive(Debug)]
+struct ReplyPair {
+    replies: [WireReply; 2],
+    trailer: Vec<u8>,
+}
+
+struct ReplyPairs;
+
+impl Strategy for ReplyPairs {
+    type Value = ReplyPair;
+
+    fn generate(&self, rng: &mut TestRng) -> ReplyPair {
+        let reply = |rng: &mut TestRng| WireReply {
+            status: [200, 202, 400, 404, 413, 429, 503][pick(rng, 7)],
+            header: ("cache".to_string(), header_value(rng)),
+            body: text(rng, 24),
+            close: coin(rng),
+        };
+        ReplyPair {
+            replies: [reply(rng), reply(rng)],
+            trailer: HttpGarbage.generate(rng),
+        }
+    }
+}
+
+/// A source of one byte, endlessly, that counts the bytes read from it.
+struct Endless {
+    byte: u8,
+    read: usize,
+}
+
+impl Read for Endless {
+    fn read(&mut self, buffer: &mut [u8]) -> std::io::Result<usize> {
+        buffer.fill(self.byte);
+        self.read += buffer.len();
+        Ok(buffer.len())
+    }
+}
+
+/// `true` when `error` is the line-length rejection.
+fn line_too_long(error: &ReadError) -> bool {
+    matches!(error, ReadError::Malformed(m) if m.contains("too long"))
+}
+
 proptest! {
     /// (i) Rendering then parsing gives back the document, escapes, control
     /// characters and non-ASCII text included.
@@ -500,5 +691,92 @@ proptest! {
             prop_assert_eq!(remote.cache_key(), point.cache_key());
             prop_assert_eq!(remote.to_wire(), wire);
         }
+    }
+
+    /// HTTP (i): arbitrary bytes never panic either parser; they give a
+    /// typed error or a message, and a huge declared length costs no more
+    /// than the bytes that arrived.
+    #[test]
+    fn http_parsers_survive_arbitrary_bytes(bytes in HttpGarbage, max_body in 0usize..64) {
+        if let Ok(request) = http::read_request(&mut &bytes[..], max_body) {
+            prop_assert!(request.body.len() <= max_body);
+        }
+        if let Ok(reply) = http::read_response(&mut &bytes[..]) {
+            prop_assert!(reply.body.len() <= bytes.len());
+        }
+    }
+
+    /// HTTP (ii): two requests back to back on one stream parse as exactly
+    /// those two, and nothing past the second's body is consumed.
+    #[test]
+    fn http_requests_back_to_back_parse_exactly(pair in RequestPairs) {
+        let mut stream = Vec::new();
+        for request in &pair.requests {
+            stream.extend_from_slice(&request.bytes);
+        }
+        stream.extend_from_slice(&pair.trailer);
+        let mut rest = &stream[..];
+        for expected in &pair.requests {
+            let parsed = http::read_request(&mut rest, 1 << 10).expect("valid request");
+            prop_assert_eq!(parsed.method.as_str(), expected.method);
+            prop_assert_eq!(&parsed.path, &expected.path);
+            prop_assert_eq!(&parsed.query, &expected.query);
+            prop_assert_eq!(&parsed.headers, &expected.headers);
+            prop_assert_eq!(&parsed.body, &expected.body);
+        }
+        prop_assert_eq!(rest, &pair.trailer[..]);
+    }
+
+    /// HTTP (ii): two replies as the server writes them, back to back on
+    /// one stream, parse as exactly those two, and nothing past the
+    /// second's body is consumed.
+    #[test]
+    fn http_replies_back_to_back_parse_exactly(pair in ReplyPairs) {
+        let mut stream = Vec::new();
+        for reply in &pair.replies {
+            Response::json(reply.status, reply.body.clone())
+                .header(reply.header.0.clone(), reply.header.1.clone())
+                .write_to(&mut stream, reply.close)
+                .expect("write to memory");
+        }
+        stream.extend_from_slice(&pair.trailer);
+        let mut rest = &stream[..];
+        for expected in &pair.replies {
+            let parsed = http::read_response(&mut rest).expect("valid reply");
+            prop_assert_eq!(parsed.status, expected.status);
+            prop_assert_eq!(&parsed.body, &expected.body);
+            prop_assert_eq!(parsed.header(&expected.header.0), Some(expected.header.1.as_str()));
+            prop_assert_eq!(parsed.keeps_alive(), !expected.close);
+        }
+        prop_assert_eq!(rest, &pair.trailer[..]);
+    }
+
+    /// HTTP (iii): a line longer than 8 KiB — a request line, a status line
+    /// or a header line — is rejected after at most 8 KiB plus one buffer
+    /// of it is read.
+    #[test]
+    fn http_long_lines_are_cut_off_after_8_kib_and_one_buffer(
+        capacity in 1usize..20_000,
+        case in 0usize..4,
+    ) {
+        // Even cases read a request, odd ones a reply; the first two make
+        // the first line the long one, the last two a header line.
+        let before: &[u8] = match case {
+            0 | 1 => b"",
+            2 => b"GET /x HTTP/1.1\r\nx-long: ",
+            _ => b"HTTP/1.1 200 OK\r\nx-long: ",
+        };
+        let source = before.chain(Endless { byte: b'a', read: 0 });
+        let mut reader = BufReader::with_capacity(capacity, source);
+        let error = if case % 2 == 0 {
+            http::read_request(&mut reader, 1 << 10).expect_err("an endless line")
+        } else {
+            http::read_response(&mut reader).map(drop).expect_err("an endless line")
+        };
+        prop_assert!(line_too_long(&error), "{error:?}");
+        let (unread, endless) = reader.into_inner().into_inner();
+        let read = before.len() - unread.len() + endless.read;
+        let earlier_lines = before.iter().position(|&b| b == b'\n').map_or(0, |i| i + 1);
+        prop_assert!(read <= earlier_lines + 8192 + capacity, "read {read} bytes");
     }
 }

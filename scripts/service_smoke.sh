@@ -6,7 +6,9 @@
 # Then exercise the telemetry surface (JSON logs, text metrics exposition,
 # trace-span trees), boot a three-worker fabric, kill a worker mid-pool,
 # and assert the sharded report is byte-identical to the single-node bytes
-# with the failure visible in the federated cache metrics.
+# with the failure visible in the federated cache metrics, that shard
+# dispatches reuse keep-alive connections, and that workers stop promptly
+# while coordinators still hold such connections to them.
 #
 # Run from the workspace root (CI runs it after `cargo build --release`):
 #
@@ -72,6 +74,25 @@ boot_daemon() {
     done
     BOOTED_ADDR="$(cat "$WORK/$name.addr")"
     BOOTED_PID="$pid"
+}
+
+# Waits up to 3 s for daemon $1 to exit on its own after its shutdown, then
+# reaps it (a non-zero exit status fails the run). A daemon whose connection
+# threads still wait on idle keep-alive connections sits out its full 5 s
+# join deadline and fails here. An exited daemon stays a zombie (state Z)
+# until it is reaped.
+await_exit() {
+    local state
+    for _ in $(seq 1 30); do
+        state="$(awk '{print $3}' "/proc/$1/stat" 2>/dev/null || true)"
+        if [ -z "$state" ] || [ "$state" = Z ]; then
+            wait "$1"
+            return
+        fi
+        sleep 0.1
+    done
+    echo "daemon $1 still running 3 s after its shutdown"
+    exit 1
 }
 
 [ -x "$DAEMON" ] || { echo "missing $DAEMON (build with: cargo build --release)"; exit 2; }
@@ -212,8 +233,8 @@ echo "telemetry: JSON logs, text metrics and trace tree all check out"
 
 # --- fabric: three workers, byte-identical sharded reports ---------------
 boot_daemon worker1; W1="$BOOTED_ADDR"; W1_PID="$BOOTED_PID"
-boot_daemon worker2; W2="$BOOTED_ADDR"
-boot_daemon worker3; W3="$BOOTED_ADDR"
+boot_daemon worker2; W2="$BOOTED_ADDR"; W2_PID="$BOOTED_PID"
+boot_daemon worker3; W3="$BOOTED_ADDR"; W3_PID="$BOOTED_PID"
 boot_daemon coordinator \
     --fabric-worker "$W1" --fabric-worker "$W2" --fabric-worker "$W3" \
     --shard-trials 250 --shard-backoff-ms 10
@@ -250,6 +271,13 @@ cmp "$WORK/fresh8.body" "$WORK/sharded8.body" || { echo "post-kill sharded body 
 grep -q '"worker_failures":0' "$WORK/fabric.body" && { echo "expected worker failures:"; cat "$WORK/fabric.body"; exit 1; }
 echo "fabric: killed worker rebalanced, bytes unchanged, failures recorded"
 
+# The two jobs dispatched 16 shards, and with 2 scheduler threads the
+# coordinator holds at most 2 connections to each worker: dispatches must
+# have reused pooled keep-alive connections.
+REUSED="$(grep -o '"connections_reused":[0-9]*' "$WORK/fabric.body" | cut -d: -f2)"
+[ "${REUSED:-0}" -gt 0 ] || { echo "expected reused connections:"; cat "$WORK/fabric.body"; exit 1; }
+echo "fabric: $REUSED shard dispatches reused a pooled connection"
+
 # Cache federation: a fresh coordinator over the two survivors (one booted
 # with a flag, one registered at runtime) re-shards the first job and is
 # answered partly from the workers' shard caches.
@@ -269,7 +297,14 @@ check_sweep "$COORD2" >"$WORK/sweep_fabric.body"
 cmp "$WORK/sweep.body" "$WORK/sweep_fabric.body" || { echo "fabric sweep differs from single-node sweep"; exit 1; }
 echo "fabric: check sweep byte-identical to single-node document"
 
-for peer in "$COORD2" "$COORD" "$W3" "$W2"; do
+# Both coordinators still hold pooled connections to the workers, which
+# must nevertheless stop at once.
+"$CLI" shutdown --server "$W3" --deadline-ms 10000 >/dev/null
+await_exit "$W3_PID"
+"$CLI" shutdown --server "$W2" --deadline-ms 10000 >/dev/null
+await_exit "$W2_PID"
+echo "fabric: workers stopped promptly under pooled coordinator connections"
+for peer in "$COORD2" "$COORD"; do
     "$CLI" shutdown --server "$peer" --deadline-ms 10000 >/dev/null
 done
 
