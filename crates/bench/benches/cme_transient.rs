@@ -69,7 +69,21 @@ fn bench_first_passage(c: &mut Criterion) {
         .initial_state_from_counts(&[3, 4, 3])
         .expect("initial state");
     let bounds = module.exact_bounds(&[3, 4, 3]);
+    let outputs: Vec<crn::SpeciesId> = ["o1", "o2", "o3"]
+        .iter()
+        .map(|name| module.crn().species_id(name).expect("output species"))
+        .collect();
     let mut group = c.benchmark_group("cme_transient/first_passage_module");
+    // Enumeration alone, on the space `exact_outcomes` solves: the three
+    // outcome classes absorb.
+    group.bench_function(BenchmarkId::from_parameter("enumerate"), |b| {
+        b.iter(|| {
+            StateSpace::enumerate_absorbing(module.crn(), &initial, &bounds, |s| {
+                outputs.iter().any(|&o| s.count(o) >= 2)
+            })
+            .expect("state space")
+        });
+    });
     group.bench_function(BenchmarkId::from_parameter("exact_outcomes"), |b| {
         b.iter(|| {
             FirstPassage::new(module.crn())

@@ -408,7 +408,7 @@ impl<'a> Checker<'a> {
                 })
             }
         }
-        let mut class = components[closed[0]].clone();
+        let mut class = components.get(closed[0]).to_vec();
         class.sort_unstable();
         let m = class.len();
         if m > self.dense_limit {

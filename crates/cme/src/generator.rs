@@ -78,13 +78,13 @@ impl GeneratorMatrix {
     where
         F: Fn(&crn::State) -> bool,
     {
-        Self::build(space, absorbing)
+        let mut buffer = space.buffer();
+        Self::build(space, |i| absorbing(space.load(i, &mut buffer)))
     }
 
-    fn build<F>(space: &StateSpace, absorbing: F) -> Self
-    where
-        F: Fn(&crn::State) -> bool,
-    {
+    /// Builds the generator with the rows of every state index matching
+    /// `absorbing` zeroed out.
+    fn build(space: &StateSpace, mut absorbing: impl FnMut(usize) -> bool) -> Self {
         let n = space.len();
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut cols = Vec::with_capacity(space.transition_count() + n);
@@ -94,7 +94,7 @@ impl GeneratorMatrix {
         row_ptr.push(0);
         let mut row: Vec<(usize, f64)> = Vec::new();
         for i in 0..n {
-            if absorbing(space.state(i)) {
+            if absorbing(i) {
                 cols.push(i);
                 vals.push(0.0);
                 row_ptr.push(cols.len());

@@ -147,12 +147,11 @@ impl<'a> FirstPassage<'a> {
 
         // Classify each state once: Some(outcome index) for absorbing
         // outcome states, None otherwise.
-        let class: Vec<Option<usize>> = space
-            .states()
-            .iter()
-            .enumerate()
-            .map(|(i, state)| {
+        let mut buffer = space.buffer();
+        let class: Vec<Option<usize>> = (0..space.len())
+            .map(|i| {
                 if space.is_absorbing(i) {
+                    let state = space.load(i, &mut buffer);
                     self.outcomes.iter().position(|(_, pred)| pred(state))
                 } else {
                     None
@@ -494,10 +493,32 @@ fn add_edge(edges: &mut Vec<(usize, f64)>, target: usize, rate: f64) {
     }
 }
 
-/// Iterative Tarjan over the state-space transition graph. Components are
-/// returned in Tarjan emission order: every component appears *before* the
-/// components that can reach it (sinks first).
-pub(crate) fn strongly_connected_components(space: &StateSpace) -> Vec<Vec<usize>> {
+/// The strongly connected components of a state space, in Tarjan emission
+/// order: every component appears *before* the components that can reach
+/// it (sinks first). They are stored flat, one list of members cut at
+/// `starts`, because most spaces condense into thousands of singletons.
+pub(crate) struct Components {
+    members: Vec<usize>,
+    /// Component `c` is `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl Components {
+    /// Returns component `c`'s members, in the order Tarjan popped them.
+    pub(crate) fn get(&self, c: usize) -> &[usize] {
+        &self.members[self.starts[c]..self.starts[c + 1]]
+    }
+
+    /// Returns the components in emission order.
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &[usize]> + '_ {
+        self.starts
+            .windows(2)
+            .map(|bounds| &self.members[bounds[0]..bounds[1]])
+    }
+}
+
+/// Iterative Tarjan over the state-space transition graph.
+pub(crate) fn strongly_connected_components(space: &StateSpace) -> Components {
     let n = space.len();
     const UNVISITED: usize = usize::MAX;
     let mut index = vec![UNVISITED; n];
@@ -505,7 +526,10 @@ pub(crate) fn strongly_connected_components(space: &StateSpace) -> Vec<Vec<usize
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
-    let mut components: Vec<Vec<usize>> = Vec::new();
+    let mut components = Components {
+        members: Vec::with_capacity(n),
+        starts: vec![0],
+    };
     // Explicit DFS frames: (state, iterator position over its successors).
     let mut frames: Vec<(usize, usize)> = Vec::new();
 
@@ -541,16 +565,15 @@ pub(crate) fn strongly_connected_components(space: &StateSpace) -> Vec<Vec<usize
                         low[parent] = low[parent].min(low[v]);
                     }
                     if low[v] == index[v] {
-                        let mut component = Vec::new();
                         loop {
                             let w = stack.pop().expect("tarjan stack underflow");
                             on_stack[w] = false;
-                            component.push(w);
+                            components.members.push(w);
                             if w == v {
                                 break;
                             }
                         }
-                        components.push(component);
+                        components.starts.push(components.members.len());
                     }
                 }
             }

@@ -11,7 +11,7 @@
 //! codebases cannot silently diverge on the meaning of a rate.
 
 use cme::{GeneratorMatrix, PopulationBounds, StateSpace};
-use crn::Crn;
+use crn::{Crn, State};
 use gillespie::StepperKind;
 use numerics::chi_square_goodness_of_fit;
 
@@ -188,8 +188,8 @@ fn cme_outflows_match_gillespie_propensities_bitwise() {
         space.len()
     );
     for i in 0..space.len() {
-        let state = space.state(i);
-        let expected = gillespie::total_propensity(&crn, state);
+        let state = State::from_counts(space.state(i).to_vec());
+        let expected = gillespie::total_propensity(&crn, &state);
         assert_eq!(
             space.total_outflow(i),
             expected,

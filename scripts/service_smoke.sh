@@ -198,8 +198,8 @@ echo "check: swept P(h before t) over k, replay byte-identical"
 
 # --- telemetry: JSON logs, text metrics exposition, trace spans ----------
 # A daemon with the full telemetry surface on: structured JSON logs at
-# debug, a 1 ms slow-request threshold (every ensemble job trips it), and
-# the Prometheus-style text exposition.
+# debug, a 1 ms slow-request threshold, and the Prometheus-style text
+# exposition.
 boot_daemon telemetry --log-json --log-level debug --slow-request-ms 1
 TELEM="$BOOTED_ADDR"
 "$CLI" submit --server "$TELEM" --endpoint simulate --file "$WORK/simulate.json" --wait \
@@ -218,6 +218,17 @@ for span in job parse classify schedule-wait shard merge; do
     grep -q "\"name\":\"$span\"" "$WORK/trace.body" \
         || { echo "trace missing $span span:"; cat "$WORK/trace.body"; exit 1; }
 done
+
+# The coin job above takes about the threshold itself, so whether it trips
+# it depends on the box. This job runs a million direct-method events (x
+# decays one molecule at a time, 4,000 molecules a trial, 250 trials):
+# 52 to 60 ms on a 2-vCPU Xeon VM, so at least ten times the threshold.
+cat >"$WORK/slow.json" <<'EOF'
+{"network": "x -> y @ 1", "initial": {"x": 4000}, "trials": 250, "seed": 7}
+EOF
+"$CLI" submit --server "$TELEM" --endpoint simulate --file "$WORK/slow.json" --wait \
+    >"$WORK/slow.body"
+grep -q '"trials":250' "$WORK/slow.body" || { echo "slow job failed:"; cat "$WORK/slow.body"; exit 1; }
 
 # Every log line (past the boot banner on stdout) is a JSON record with
 # the standard envelope, and the 1 ms threshold fired a slow_request.
@@ -278,18 +289,25 @@ REUSED="$(grep -o '"connections_reused":[0-9]*' "$WORK/fabric.body" | cut -d: -f
 [ "${REUSED:-0}" -gt 0 ] || { echo "expected reused connections:"; cat "$WORK/fabric.body"; exit 1; }
 echo "fabric: $REUSED shard dispatches reused a pooled connection"
 
-# Cache federation: a fresh coordinator over the two survivors (one booted
-# with a flag, one registered at runtime) re-shards the first job and is
-# answered partly from the workers' shard caches.
+# Cache federation: a fresh coordinator re-shards the first job and is
+# answered partly from the workers' shard caches. The first job's 8 shards
+# went round-robin over three healthy workers from a fresh cursor, so W2
+# ran 3 of them. Replayed while W2 is the new coordinator's only worker,
+# every shard lands on W2, and at least those 3 are cache hits whichever
+# shards they were.
 boot_daemon coordinator2 --fabric-worker "$W2" --shard-trials 250 --shard-backoff-ms 10
 COORD2="$BOOTED_ADDR"
-"$CLI" fabric --server "$COORD2" --register "$W3" >/dev/null
 "$CLI" submit --server "$COORD2" --endpoint simulate --file "$WORK/simulate.json" --wait \
     >"$WORK/federated.body"
 cmp "$WORK/fresh.body" "$WORK/federated.body" || { echo "federated replay differs"; exit 1; }
 "$CLI" fabric --server "$COORD2" >"$WORK/fabric2.body"
 grep -q '"remote_cache_hits":0' "$WORK/fabric2.body" && { echo "expected worker-tier cache hits:"; cat "$WORK/fabric2.body"; exit 1; }
 echo "fabric: federated worker caches answered the re-sharded replay"
+
+# A worker registered at runtime joins the pool.
+"$CLI" fabric --server "$COORD2" --register "$W3" >"$WORK/fabric3.body"
+grep -q '"registered":true,"workers":2' "$WORK/fabric3.body" \
+    || { echo "runtime registration did not take effect:"; cat "$WORK/fabric3.body"; exit 1; }
 
 # A fabric-dispatched check sweep (one grid point per worker dispatch) must
 # reproduce the single-node sweep document byte for byte.
