@@ -54,17 +54,23 @@ fn bench_dimerisation(c: &mut Criterion) {
     group.finish();
 }
 
-/// First-passage outcome analysis of the paper's Example 1, scaled down:
-/// enumeration + SCC condensation + exact elimination over ~20k states.
-fn bench_first_passage(c: &mut Criterion) {
-    let module = StochasticModule::builder()
+/// The paper's Example 1 at separation `gamma`, scaled down to about 20k
+/// first-passage states.
+fn example1(gamma: f64) -> StochasticModule {
+    StochasticModule::builder()
         .outcomes(["T1", "T2", "T3"])
-        .gamma(1000.0)
+        .gamma(gamma)
         .input_total(10)
         .food(2)
         .decision_threshold(2)
         .build()
-        .expect("module");
+        .expect("module")
+}
+
+/// First-passage outcome analysis of the paper's Example 1, scaled down:
+/// enumeration + SCC condensation + exact elimination over ~20k states.
+fn bench_first_passage(c: &mut Criterion) {
+    let module = example1(1000.0);
     let initial = module
         .initial_state_from_counts(&[3, 4, 3])
         .expect("initial state");
@@ -84,17 +90,36 @@ fn bench_first_passage(c: &mut Criterion) {
             .expect("state space")
         });
     });
+    let passage = |crn| {
+        FirstPassage::new(crn)
+            .outcome_species_at_least("T1", "o1", 2)
+            .expect("outcome")
+            .outcome_species_at_least("T2", "o2", 2)
+            .expect("outcome")
+            .outcome_species_at_least("T3", "o3", 2)
+            .expect("outcome")
+    };
     group.bench_function(BenchmarkId::from_parameter("exact_outcomes"), |b| {
         b.iter(|| {
-            FirstPassage::new(module.crn())
-                .outcome_species_at_least("T1", "o1", 2)
-                .expect("outcome")
-                .outcome_species_at_least("T2", "o2", 2)
-                .expect("outcome")
-                .outcome_species_at_least("T3", "o3", 2)
-                .expect("outcome")
+            passage(module.crn())
                 .solve(&initial, &bounds)
                 .expect("first passage")
+        });
+    });
+    // The same solve on a structure enumerated once at another γ: re-weight
+    // to this module's rates, then solve. This is what a service request
+    // costs when its structure is cached.
+    let other = example1(950.0);
+    let structure = passage(other.crn())
+        .enumerate(&initial, &bounds)
+        .expect("state space");
+    let solver = passage(module.crn());
+    group.bench_function(BenchmarkId::from_parameter("reweighted"), |b| {
+        b.iter(|| {
+            let space = structure
+                .reweight(module.crn())
+                .expect("same stoichiometry");
+            solver.solve_space(&space).expect("first passage")
         });
     });
     group.finish();

@@ -49,7 +49,7 @@ use crn::{Crn, SpeciesId, State};
 use crate::bounds::PopulationBounds;
 use crate::error::CmeError;
 use crate::generator::GeneratorMatrix;
-use crate::outcome::{strongly_connected_components, FirstPassage};
+use crate::outcome::{FirstPassage, OutcomeDistribution};
 use crate::space::StateSpace;
 use crate::transient::{transient, transient_substochastic};
 
@@ -181,17 +181,57 @@ impl<'a> Checker<'a> {
         F: Fn(&State) -> bool,
         G: Fn(&State) -> bool,
     {
-        let distribution = FirstPassage::new(self.crn)
+        let race = self.race(target, competitor);
+        Ok(race_verdict(&race.solve(&self.initial, &self.bounds)?))
+    }
+
+    /// The space [`reach_before`](Self::reach_before) solves on: the target
+    /// and competitor states absorb.
+    ///
+    /// # Errors
+    ///
+    /// Propagates enumeration errors.
+    pub fn reach_before_space<F, G>(&self, target: F, competitor: G) -> Result<StateSpace, CmeError>
+    where
+        F: Fn(&State) -> bool,
+        G: Fn(&State) -> bool,
+    {
+        self.race(target, competitor)
+            .enumerate(&self.initial, &self.bounds)
+    }
+
+    /// [`reach_before`](Self::reach_before) on a prepared `space`: one
+    /// [`reach_before_space`](Self::reach_before_space) built with the same
+    /// predicates, possibly [re-weighted](StateSpace::reweight) to this
+    /// checker's network.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FirstPassage::solve_space`].
+    pub fn reach_before_on<F, G>(
+        &self,
+        space: &StateSpace,
+        target: F,
+        competitor: G,
+    ) -> Result<RaceVerdict, CmeError>
+    where
+        F: Fn(&State) -> bool,
+        G: Fn(&State) -> bool,
+    {
+        Ok(race_verdict(
+            &self.race(target, competitor).solve_space(space)?,
+        ))
+    }
+
+    /// The first-passage problem of a race: target, then competitor.
+    fn race<'p, F, G>(&'p self, target: F, competitor: G) -> FirstPassage<'p>
+    where
+        F: Fn(&State) -> bool + 'p,
+        G: Fn(&State) -> bool + 'p,
+    {
+        FirstPassage::new(self.crn)
             .outcome("target", target)
             .outcome("competitor", competitor)
-            .solve(&self.initial, &self.bounds)?;
-        Ok(RaceVerdict {
-            target: distribution.probability("target"),
-            competitor: distribution.probability("competitor"),
-            never: distribution.undecided(),
-            escaped: distribution.escaped(),
-            states: distribution.states(),
-        })
     }
 
     /// [`reach_before`](Self::reach_before) with threshold targets: each
@@ -218,23 +258,52 @@ impl<'a> Checker<'a> {
     where
         F: Fn(&State) -> bool,
     {
+        let space = self.reach_within_space(window)?;
+        self.reach_within_on(&space, target, window)
+    }
+
+    /// The space [`reach_within`](Self::reach_within) solves on: the free
+    /// reachable space. The window is validated first, as
+    /// [`reach_within`](Self::reach_within) does before it enumerates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CmeError::InvalidInput`] for an invalid window and
+    /// otherwise propagates enumeration errors.
+    pub fn reach_within_space(&self, window: (f64, f64)) -> Result<StateSpace, CmeError> {
+        check_window(window)?;
+        StateSpace::enumerate(self.crn, &self.initial, &self.bounds)
+    }
+
+    /// [`reach_within`](Self::reach_within) on a prepared `space`: one
+    /// [`reach_within_space`](Self::reach_within_space), possibly
+    /// [re-weighted](StateSpace::reweight) to this checker's network.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CmeError::InvalidInput`] for an invalid window and
+    /// propagates uniformization errors.
+    pub fn reach_within_on<F>(
+        &self,
+        space: &StateSpace,
+        target: F,
+        window: (f64, f64),
+    ) -> Result<WindowVerdict, CmeError>
+    where
+        F: Fn(&State) -> bool,
+    {
+        check_window(window)?;
         let (t1, t2) = window;
-        if !t1.is_finite() || !t2.is_finite() || t1 < 0.0 || t2 < t1 {
-            return Err(CmeError::InvalidInput {
-                message: format!("window [{t1}, {t2}] must be finite with 0 ≤ t1 ≤ t2"),
-            });
-        }
-        let space = StateSpace::enumerate(self.crn, &self.initial, &self.bounds)?;
         let mut p = vec![0.0; space.len()];
         p[space.initial_index()] = 1.0;
         let mut terms = 0;
         if t1 > 0.0 {
-            let free = GeneratorMatrix::from_space(&space);
+            let free = GeneratorMatrix::from_space(space);
             let warm = transient(&free, &p, t1, self.epsilon)?;
             terms += warm.terms;
             p = warm.probabilities;
         }
-        let absorbed = GeneratorMatrix::from_space_absorbing(&space, &target);
+        let absorbed = GeneratorMatrix::from_space_absorbing(space, &target);
         let solution = transient_substochastic(&absorbed, &p, t2 - t1, self.epsilon)?;
         terms += solution.terms;
         let probability = space
@@ -283,8 +352,32 @@ impl<'a> Checker<'a> {
     where
         F: Fn(&State) -> bool,
     {
-        let space =
-            StateSpace::enumerate_absorbing(self.crn, &self.initial, &self.bounds, &target)?;
+        self.hitting_time_on(&self.hitting_time_space(target)?)
+    }
+
+    /// The space [`hitting_time`](Self::hitting_time) solves on: the target
+    /// states absorb.
+    ///
+    /// # Errors
+    ///
+    /// Propagates enumeration errors.
+    pub fn hitting_time_space<F>(&self, target: F) -> Result<StateSpace, CmeError>
+    where
+        F: Fn(&State) -> bool,
+    {
+        StateSpace::enumerate_absorbing(self.crn, &self.initial, &self.bounds, target)
+    }
+
+    /// [`hitting_time`](Self::hitting_time) on a prepared `space`: one
+    /// [`hitting_time_space`](Self::hitting_time_space), possibly
+    /// [re-weighted](StateSpace::reweight) to this checker's network. Its
+    /// absorbing states are the target.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CmeError::InvalidInput`] when the transient states exceed
+    /// the dense limit or the system is singular.
+    pub fn hitting_time_on(&self, space: &StateSpace) -> Result<HittingTime, CmeError> {
         let n = space.len();
         if space.is_absorbing(space.initial_index()) {
             return Ok(HittingTime {
@@ -309,7 +402,7 @@ impl<'a> Checker<'a> {
         }
         // States inside a closed class (or dead ends) never reach the
         // target; pin them to identity rows so `I − T` stays nonsingular.
-        let locked = locked_states(&space);
+        let locked = locked_states(space);
         let mut a = vec![0.0; m * m];
         let mut b_hit = vec![0.0; m];
         let mut outflow = vec![0.0; m];
@@ -374,9 +467,30 @@ impl<'a> Checker<'a> {
     /// additions and divisions of non-negative numbers only, so the result
     /// carries no subtractive cancellation.
     pub fn stationary(&self) -> Result<StationaryDistribution, CmeError> {
-        let space = StateSpace::enumerate(self.crn, &self.initial, &self.bounds)?;
+        self.stationary_on(self.stationary_space()?)
+    }
+
+    /// The space [`stationary`](Self::stationary) solves on: the free
+    /// reachable space.
+    ///
+    /// # Errors
+    ///
+    /// Propagates enumeration errors.
+    pub fn stationary_space(&self) -> Result<StateSpace, CmeError> {
+        StateSpace::enumerate(self.crn, &self.initial, &self.bounds)
+    }
+
+    /// [`stationary`](Self::stationary) on a prepared `space`: one
+    /// [`stationary_space`](Self::stationary_space), possibly
+    /// [re-weighted](StateSpace::reweight) to this checker's network. The
+    /// law keeps the space.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`stationary`](Self::stationary), enumeration aside.
+    pub fn stationary_on(&self, space: StateSpace) -> Result<StationaryDistribution, CmeError> {
         let n = space.len();
-        let components = strongly_connected_components(&space);
+        let components = space.components();
         let mut comp_of = vec![0usize; n];
         for (c, members) in components.iter().enumerate() {
             for &i in members {
@@ -534,12 +648,33 @@ impl StationaryDistribution {
     }
 }
 
+/// The verdict of a race solved as a two-outcome first passage.
+fn race_verdict(distribution: &OutcomeDistribution) -> RaceVerdict {
+    RaceVerdict {
+        target: distribution.probability("target"),
+        competitor: distribution.probability("competitor"),
+        never: distribution.undecided(),
+        escaped: distribution.escaped(),
+        states: distribution.states(),
+    }
+}
+
+/// Refuses a time window unless `0 ≤ t₁ ≤ t₂`, both finite.
+fn check_window((t1, t2): (f64, f64)) -> Result<(), CmeError> {
+    if !t1.is_finite() || !t2.is_finite() || t1 < 0.0 || t2 < t1 {
+        return Err(CmeError::InvalidInput {
+            message: format!("window [{t1}, {t2}] must be finite with 0 ≤ t1 ≤ t2"),
+        });
+    }
+    Ok(())
+}
+
 /// Marks every state inside a closed strongly-connected class (no exits,
 /// no leak, not absorbing) plus outflow-free dead ends: states from which
 /// the absorbing set is unreachable.
 fn locked_states(space: &StateSpace) -> Vec<bool> {
     let n = space.len();
-    let components = strongly_connected_components(space);
+    let components = space.components();
     let mut comp_of = vec![0usize; n];
     for (c, members) in components.iter().enumerate() {
         for &i in members {
@@ -614,8 +749,12 @@ impl DenseLu {
         let m = self.m;
         debug_assert_eq!(b.len(), m);
         let mut x = b.to_vec();
+        // `factor` swapped whole rows, multipliers included, so the
+        // factorization is `P·A = L·U`: permute all of `b` first.
+        for (k, &pivot) in self.pivots.iter().enumerate() {
+            x.swap(k, pivot);
+        }
         for k in 0..m {
-            x.swap(k, self.pivots[k]);
             let xk = x[k];
             if xk == 0.0 {
                 continue;
@@ -743,6 +882,52 @@ mod tests {
         let hit = checker.hitting_time_species("g", 1).unwrap();
         assert!((hit.probability - 0.5).abs() < 1e-12);
         assert!((hit.conditional_mean.unwrap() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hitting_time_agrees_with_first_passage_when_pivots_swap() {
+        // Reversible chains whose `I − T` needs row swaps after the first
+        // column: a swap applied between forward-elimination steps used to
+        // corrupt the right-hand side (0.5556 and 0 instead of 1).
+        for (text, counts, cap) in [
+            ("a -> b @ 1\nb -> a @ 1", [("a", 2), ("b", 1)], 3),
+            ("a -> b @ 1.2\nb -> a @ 1", [("a", 5), ("b", 5)], 10),
+        ] {
+            let crn: Crn = text.parse().unwrap();
+            let initial = crn.state_from_counts(counts).unwrap();
+            let bounds = PopulationBounds::strict(cap);
+            let hit = Checker::new(&crn, initial.clone(), bounds.clone())
+                .hitting_time_species("a", cap)
+                .unwrap();
+            let passage = FirstPassage::new(&crn)
+                .outcome_species_at_least("hit", "a", cap)
+                .unwrap()
+                .solve(&initial, &bounds)
+                .unwrap();
+            assert!(
+                (hit.probability - passage.probability("hit")).abs() < 1e-12,
+                "{text}: {} vs {}",
+                hit.probability,
+                passage.probability("hit")
+            );
+            assert!((hit.probability - 1.0).abs() < 1e-12, "{text}");
+        }
+    }
+
+    #[test]
+    fn dense_lu_applies_every_swap_before_eliminating() {
+        // Partial pivoting swaps rows 0 and 2 in the first column and rows
+        // 1 and 2 in the second: A·x = b with x = [1, 2, 3].
+        let a = vec![1.0, 2.0, 0.0, 0.0, 1.0, 4.0, 3.0, 1.0, 1.0];
+        let x = [1.0, 2.0, 3.0];
+        let b: Vec<f64> = (0..3)
+            .map(|r| (0..3).map(|c| a[r * 3 + c] * x[c]).sum())
+            .collect();
+        let lu = DenseLu::factor(a, 3).unwrap();
+        assert_eq!(lu.pivots, vec![2, 2, 2]);
+        for (got, want) in lu.solve(&b).iter().zip(x) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
     }
 
     #[test]

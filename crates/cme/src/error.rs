@@ -52,6 +52,13 @@ pub enum CmeError {
         /// The budget the prediction exceeded, in the same unit.
         budget: f64,
     },
+    /// A network asked to re-weight a state space has other species or
+    /// reactions than the network the space was enumerated from: only the
+    /// rates may differ.
+    StoichiometryMismatch {
+        /// Description of the mismatch.
+        message: String,
+    },
 }
 
 impl fmt::Display for CmeError {
@@ -82,6 +89,9 @@ impl fmt::Display for CmeError {
                  {work:.3e} term×nonzero products, above the budget of {budget:.0e} \
                  (shorten the time horizon or shrink the state space)"
             ),
+            CmeError::StoichiometryMismatch { message } => {
+                write!(f, "cannot re-weight the state space: {message}")
+            }
         }
     }
 }
@@ -111,6 +121,9 @@ mod tests {
                 rate_time: 2e12,
                 work: 8e12,
                 budget: 1e9,
+            },
+            CmeError::StoichiometryMismatch {
+                message: "other reactions".into(),
             },
         ];
         for e in cases {

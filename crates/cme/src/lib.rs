@@ -11,7 +11,10 @@
 //! 1. [`StateSpace`] — breadth-first enumeration of the reachable states
 //!    within [`PopulationBounds`], either *strict* (exceeding a cap is the
 //!    typed error [`CmeError::BoundExceeded`]) or *truncating*
-//!    (finite-state projection: escaping rate becomes tracked leak);
+//!    (finite-state projection: escaping rate becomes tracked leak). Its
+//!    rate-free [`SpaceStructure`] is shared, and [`StateSpace::reweight`]
+//!    carries it to the same network at other rates without enumerating
+//!    again;
 //! 2. [`GeneratorMatrix`] — the sparse (CSR) infinitesimal generator `Q`
 //!    restricted to the retained states;
 //! 3. [`transient`] — uniformization: `p(t) = p(0)·e^{Qt}` as a
@@ -68,6 +71,6 @@ pub use check::{Checker, HittingTime, RaceVerdict, StationaryDistribution, Windo
 pub use error::CmeError;
 pub use generator::GeneratorMatrix;
 pub use outcome::{FirstPassage, OutcomeDistribution};
-pub use space::StateSpace;
+pub use space::{SpaceStructure, StateSpace};
 pub use sweep::{Landscape, LandscapePoint};
 pub use transient::{transient, TransientSolution};

@@ -119,7 +119,9 @@ impl<'a> FirstPassage<'a> {
     }
 
     /// Enumerates the reachable space (stopping at outcome states) and
-    /// computes the exact outcome distribution from `initial`.
+    /// computes the exact outcome distribution from `initial`: the
+    /// [`enumerate`](Self::enumerate) half, then the
+    /// [`solve_space`](Self::solve_space) half.
     ///
     /// # Errors
     ///
@@ -132,6 +134,31 @@ impl<'a> FirstPassage<'a> {
         initial: &State,
         bounds: &PopulationBounds,
     ) -> Result<OutcomeDistribution, CmeError> {
+        self.solve_space(&self.enumerate(initial, bounds)?)
+    }
+
+    /// Enumerates the space this problem is solved on: every state reachable
+    /// from `initial` within `bounds`, the outcome states absorbing. The
+    /// space depends on the outcome predicates but not on the rates, so it
+    /// may be [re-weighted](StateSpace::reweight) to another network with
+    /// the same stoichiometry and solved there.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CmeError::InvalidInput`] for an empty outcome list or an
+    /// invalid tolerance, before any enumeration, and otherwise propagates
+    /// enumeration errors.
+    pub fn enumerate(
+        &self,
+        initial: &State,
+        bounds: &PopulationBounds,
+    ) -> Result<StateSpace, CmeError> {
+        self.validate()?;
+        let matches_any = |state: &State| self.outcomes.iter().any(|(_, pred)| pred(state));
+        StateSpace::enumerate_absorbing(self.crn, initial, bounds, matches_any)
+    }
+
+    fn validate(&self) -> Result<(), CmeError> {
         if self.outcomes.is_empty() {
             return Err(CmeError::InvalidInput {
                 message: "first-passage analysis needs at least one outcome".into(),
@@ -142,9 +169,21 @@ impl<'a> FirstPassage<'a> {
                 message: format!("tolerance {} must be finite and positive", self.tolerance),
             });
         }
-        let matches_any = |state: &State| self.outcomes.iter().any(|(_, pred)| pred(state));
-        let space = StateSpace::enumerate_absorbing(self.crn, initial, bounds, matches_any)?;
+        Ok(())
+    }
 
+    /// Computes the exact outcome distribution on a prepared `space`: one
+    /// [`enumerate`](Self::enumerate) built with these outcomes, possibly
+    /// [re-weighted](StateSpace::reweight) to this problem's network. The
+    /// result is bit-identical to [`solve`](Self::solve)'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CmeError::InvalidInput`] for an empty outcome list or an
+    /// invalid tolerance and [`CmeError::NotConverged`] if a large cyclic
+    /// component exhausts its sweep budget.
+    pub fn solve_space(&self, space: &StateSpace) -> Result<OutcomeDistribution, CmeError> {
+        self.validate()?;
         // Classify each state once: Some(outcome index) for absorbing
         // outcome states, None otherwise.
         let mut buffer = space.buffer();
@@ -160,7 +199,7 @@ impl<'a> FirstPassage<'a> {
             .collect();
 
         let n = space.len();
-        let components = strongly_connected_components(&space);
+        let components = space.components();
         let mut mass = vec![0.0f64; n];
         mass[space.initial_index()] = 1.0;
         let mut absorbed = vec![0.0f64; self.outcomes.len()];
@@ -189,7 +228,7 @@ impl<'a> FirstPassage<'a> {
             scratch.enter(component);
             if component.len() > DENSE_COMPONENT_LIMIT {
                 self.sweep_component(
-                    &space,
+                    space,
                     component,
                     &scratch.local,
                     &mut mass,
@@ -200,7 +239,7 @@ impl<'a> FirstPassage<'a> {
             } else {
                 eliminate_component(
                     &mut scratch,
-                    &space,
+                    space,
                     component,
                     &mut mass,
                     &mut undecided,
@@ -491,95 +530,6 @@ fn add_edge(edges: &mut Vec<(usize, f64)>, target: usize, rate: f64) {
         Ok(pos) => edges[pos].1 += rate,
         Err(pos) => edges.insert(pos, (target, rate)),
     }
-}
-
-/// The strongly connected components of a state space, in Tarjan emission
-/// order: every component appears *before* the components that can reach
-/// it (sinks first). They are stored flat, one list of members cut at
-/// `starts`, because most spaces condense into thousands of singletons.
-pub(crate) struct Components {
-    members: Vec<usize>,
-    /// Component `c` is `members[starts[c]..starts[c + 1]]`.
-    starts: Vec<usize>,
-}
-
-impl Components {
-    /// Returns component `c`'s members, in the order Tarjan popped them.
-    pub(crate) fn get(&self, c: usize) -> &[usize] {
-        &self.members[self.starts[c]..self.starts[c + 1]]
-    }
-
-    /// Returns the components in emission order.
-    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &[usize]> + '_ {
-        self.starts
-            .windows(2)
-            .map(|bounds| &self.members[bounds[0]..bounds[1]])
-    }
-}
-
-/// Iterative Tarjan over the state-space transition graph.
-pub(crate) fn strongly_connected_components(space: &StateSpace) -> Components {
-    let n = space.len();
-    const UNVISITED: usize = usize::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut components = Components {
-        members: Vec::with_capacity(n),
-        starts: vec![0],
-    };
-    // Explicit DFS frames: (state, iterator position over its successors).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-
-    for root in 0..n {
-        if index[root] != UNVISITED {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&(v, edge)) = frames.last() {
-            let successor = space.successors(v).get(edge).copied();
-            match successor {
-                Some(w) => {
-                    frames.last_mut().expect("frame exists").1 += 1;
-                    if index[w] == UNVISITED {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                }
-                None => {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            components.members.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        components.starts.push(components.members.len());
-                    }
-                }
-            }
-        }
-    }
-    components
 }
 
 /// The exact first-passage outcome distribution of a reaction network.

@@ -19,12 +19,32 @@
 //! State indices follow breadth-first discovery, and every downstream
 //! vector (generator rows, probabilities, marginals) follows the indices,
 //! so keeping that order keeps every solution bit-identical.
+//!
+//! # Structure and weights
+//!
+//! Rate constants are finite and positive, so they never decide whether a
+//! reaction can fire: the reachable set, the edges, the leak set and the
+//! absorbing flags depend only on the stoichiometry, the initial state, the
+//! bounds and the absorbing predicate. A space is therefore split in two:
+//!
+//! - a rate-free [`SpaceStructure`], shared behind an [`Arc`]: the arena,
+//!   the CSR targets, the absorbing flags, the resolved caps, and the
+//!   strongly connected components, built on first use;
+//! - its weights: each edge's rate and each state's leak.
+//!
+//! Enumeration weighs each edge as it finds it, with [`propensity`].
+//! [Weighing](SpaceStructure::weigh) a held structure at other rates runs
+//! the same loop over each row's reactions without the lookups: the same
+//! products, in the same order, so the result is bit-identical to a space
+//! enumerated at those rates. The structure stores nothing per edge beyond
+//! its target, so enumeration writes no more than it did before the split.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, OnceLock};
 
-use crn::{Crn, Reaction, SpeciesId, State};
+use crn::{Crn, Reaction, ReactionTerm, SpeciesId, State};
 
 use crate::bounds::{BoundaryPolicy, PopulationBounds};
 use crate::error::CmeError;
@@ -34,6 +54,9 @@ use crate::error::CmeError;
 /// Zero whenever a reactant is short. Kept local so `cme` depends only on
 /// the `crn` data model; the oracle tests pin it bitwise against
 /// `gillespie::propensity`.
+///
+/// Whether it is positive does not depend on `k`: a positive combination
+/// count is at least about 1, and `k` is finite and positive.
 pub(crate) fn propensity(reaction: &Reaction, counts: &[u64]) -> f64 {
     let mut combinations = 1.0f64;
     for term in reaction.reactants() {
@@ -63,6 +86,9 @@ pub(crate) fn propensity(reaction: &Reaction, counts: &[u64]) -> f64 {
 /// and product multisets) are dropped — they cancel in the generator and
 /// only delay the embedded jump chain.
 ///
+/// The rate-free structure is shared: [`clone`](Clone::clone) and
+/// [`reweight`](Self::reweight) copy only the weights.
+///
 /// # Example
 ///
 /// ```
@@ -75,21 +101,88 @@ pub(crate) fn propensity(reaction: &Reaction, counts: &[u64]) -> f64 {
 /// // The 3 molecules distribute as (3,0), (2,1), (1,2), (0,3).
 /// assert_eq!(space.len(), 4);
 /// assert_eq!(space.state(0), &[3, 0]);
+///
+/// // The same structure at other rates, without enumerating again.
+/// let faster: crn::Crn = "a -> b @ 10\nb -> a @ 2".parse().expect("network");
+/// let reweighted = space.reweight(&faster)?;
+/// assert_eq!(reweighted.total_outflow(0), 30.0);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct StateSpace {
+    structure: Arc<Structure>,
+    /// The propensity of each edge, aligned with the structure's.
+    edge_rate: Vec<f64>,
+    /// Each state's leaking propensities, summed in step order.
+    leak: Vec<f64>,
+}
+
+/// The rate-free structure of a [`StateSpace`]: everything but its
+/// weights, shared by every space [weighed](Self::weigh) from it. It costs
+/// one reference count to take from a space, and it is what a cache of
+/// spaces holds.
+#[derive(Debug, Clone)]
+pub struct SpaceStructure(Arc<Structure>);
+
+/// The rate-free part of a [`StateSpace`].
+#[derive(Debug)]
+struct Structure {
+    /// The stoichiometry the space was enumerated from, which
+    /// [`SpaceStructure::weigh`] requires of a network.
+    network: Stoichiometry,
+    /// Each species' resolved cap: a firing past one leaks.
+    caps: Vec<u64>,
     /// Species per state: the row width of `counts`.
     width: usize,
     /// Row `i` is the counts of state `i`.
     counts: Vec<u64>,
     edge_ptr: Vec<usize>,
     edge_target: Vec<usize>,
-    edge_rate: Vec<f64>,
-    leak: Vec<f64>,
     absorbing: Vec<bool>,
     truncated: bool,
+    /// The strongly connected components, built on first use.
+    components: OnceLock<Components>,
+}
+
+/// A network's species names and each reaction's reactant and product
+/// terms: everything enumeration reads of a network but its rates.
+#[derive(Debug, PartialEq)]
+struct Stoichiometry {
+    species: Vec<String>,
+    reactions: Vec<(Vec<ReactionTerm>, Vec<ReactionTerm>)>,
+}
+
+impl Stoichiometry {
+    fn of(crn: &Crn) -> Self {
+        Stoichiometry {
+            species: crn.species().iter().map(|s| s.name().to_string()).collect(),
+            reactions: crn
+                .reactions()
+                .iter()
+                .map(|r| (r.reactants().to_vec(), r.products().to_vec()))
+                .collect(),
+        }
+    }
+
+    /// Whether `crn` has these species, in this order, and these reactions'
+    /// terms; rates and labels are not compared.
+    fn matches(&self, crn: &Crn) -> bool {
+        self.species.len() == crn.species_len()
+            && self.reactions.len() == crn.reactions().len()
+            && self
+                .species
+                .iter()
+                .zip(crn.species())
+                .all(|(name, species)| name == species.name())
+            && self
+                .reactions
+                .iter()
+                .zip(crn.reactions())
+                .all(|((reactants, products), r)| {
+                    reactants == r.reactants() && products == r.products()
+                })
+    }
 }
 
 impl StateSpace {
@@ -115,6 +208,9 @@ impl StateSpace {
     /// is not expanded further. This is how first-passage problems are posed
     /// — the chain is stopped at the first visit to a target class.
     ///
+    /// This is the one enumeration path: it builds the rate-free structure
+    /// and weighs each edge with `crn`'s rates as it finds it.
+    ///
     /// # Errors
     ///
     /// Same as [`StateSpace::enumerate`].
@@ -127,8 +223,7 @@ impl StateSpace {
     where
         F: Fn(&State) -> bool,
     {
-        let weights: Vec<u64> = (0..crn.species_len()).map(species_weight).collect();
-        Self::explore(crn, initial, bounds, absorbing, &weights)
+        Self::explore(crn, initial, bounds, absorbing, &species_weights(crn))
     }
 
     /// The enumerator behind [`enumerate_absorbing`](Self::enumerate_absorbing),
@@ -166,23 +261,22 @@ impl StateSpace {
         {
             return Err(bound_exceeded(s));
         }
-        let steps: Vec<Step<'_>> = crn
-            .reactions()
-            .iter()
-            .filter_map(|reaction| Step::new(reaction, weights))
-            .collect();
+        let steps = steps(crn, weights);
 
         let width = initial.species_len();
-        let mut space = StateSpace {
+        let mut space = Structure {
+            network: Stoichiometry::of(crn),
+            caps: Vec::new(),
             width,
             counts: initial.counts().to_vec(),
             edge_ptr: vec![0],
             edge_target: Vec::new(),
-            edge_rate: Vec::new(),
-            leak: Vec::new(),
             absorbing: Vec::new(),
             truncated: bounds.policy() == BoundaryPolicy::Truncate,
+            components: OnceLock::new(),
         };
+        let mut edge_rate = Vec::new();
+        let mut leak = Vec::new();
         let mut seen = Seen::new(key(weights, initial.counts()));
         // The absorbing predicate sees each state through this one buffer,
         // and each successor is built in the other before it is looked up.
@@ -196,7 +290,7 @@ impl StateSpace {
             let row = next * width..(next + 1) * width;
             let is_absorbing = absorbing(load(&mut buffer, &space.counts[row.clone()]));
             space.absorbing.push(is_absorbing);
-            let mut leak = 0.0f64;
+            let mut leaked = 0.0f64;
             if !is_absorbing {
                 let parent_key = key(weights, &space.counts[row.clone()]);
                 for step in &steps {
@@ -209,7 +303,7 @@ impl StateSpace {
                         match bounds.policy() {
                             BoundaryPolicy::Strict => return Err(bound_exceeded(s)),
                             BoundaryPolicy::Truncate => {
-                                leak += rate;
+                                leaked += rate;
                                 continue;
                             }
                         }
@@ -224,25 +318,45 @@ impl StateSpace {
                         return Err(CmeError::StateBudgetExceeded { budget });
                     };
                     space.edge_target.push(target);
-                    space.edge_rate.push(rate);
+                    edge_rate.push(rate);
                 }
             }
             space.edge_ptr.push(space.edge_target.len());
-            space.leak.push(leak);
+            leak.push(leaked);
             next += 1;
         }
-        Ok(space)
+        space.caps = caps;
+        Ok(StateSpace {
+            structure: Arc::new(space),
+            edge_rate,
+            leak,
+        })
+    }
+
+    /// This space's structure weighed with `crn`'s rates: see
+    /// [`SpaceStructure::weigh`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SpaceStructure::weigh`].
+    pub fn reweight(&self, crn: &Crn) -> Result<Self, CmeError> {
+        self.structure().weigh(crn)
+    }
+
+    /// This space's rate-free structure, shared.
+    pub fn structure(&self) -> SpaceStructure {
+        SpaceStructure(Arc::clone(&self.structure))
     }
 
     /// Returns the number of retained states.
     pub fn len(&self) -> usize {
-        self.absorbing.len()
+        self.structure.absorbing.len()
     }
 
     /// Returns `true` if the space has no states (never true for an
     /// enumerated space — the initial state is always retained).
     pub fn is_empty(&self) -> bool {
-        self.absorbing.is_empty()
+        self.structure.absorbing.is_empty()
     }
 
     /// Returns the molecule counts of the state at `index`, one per
@@ -253,7 +367,8 @@ impl StateSpace {
     /// Panics if `index` is out of range.
     pub fn state(&self, index: usize) -> &[u64] {
         assert!(index < self.len(), "state {index} out of range");
-        &self.counts[index * self.width..(index + 1) * self.width]
+        let width = self.structure.width;
+        &self.structure.counts[index * width..(index + 1) * width]
     }
 
     /// Returns the index of the initial state (always 0).
@@ -264,14 +379,14 @@ impl StateSpace {
     /// Returns `true` if the state at `index` was made absorbing by the
     /// enumeration predicate.
     pub fn is_absorbing(&self, index: usize) -> bool {
-        self.absorbing[index]
+        self.structure.absorbing[index]
     }
 
     /// Returns the outgoing transitions of the state at `index` as
     /// `(target index, rate)` pairs.
     pub fn transitions(&self, index: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let range = self.edge_ptr[index]..self.edge_ptr[index + 1];
-        self.edge_target[range.clone()]
+        let range = self.structure.edge_ptr[index]..self.structure.edge_ptr[index + 1];
+        self.structure.edge_target[range.clone()]
             .iter()
             .copied()
             .zip(self.edge_rate[range].iter().copied())
@@ -280,7 +395,8 @@ impl StateSpace {
     /// Returns the target indices of the outgoing transitions of the state
     /// at `index`, in the order of [`transitions`](Self::transitions).
     pub(crate) fn successors(&self, index: usize) -> &[usize] {
-        &self.edge_target[self.edge_ptr[index]..self.edge_ptr[index + 1]]
+        let structure = &*self.structure;
+        &structure.edge_target[structure.edge_ptr[index]..structure.edge_ptr[index + 1]]
     }
 
     /// Returns the total rate flowing from the state at `index` out of the
@@ -297,18 +413,27 @@ impl StateSpace {
 
     /// Returns `true` if the space was enumerated with truncating bounds.
     pub fn is_truncated(&self) -> bool {
-        self.truncated
+        self.structure.truncated
     }
 
     /// Returns the number of stored transitions.
     pub fn transition_count(&self) -> usize {
-        self.edge_target.len()
+        self.structure.edge_target.len()
+    }
+
+    /// The strongly connected components of the transition graph, found by
+    /// Tarjan's algorithm on first use and shared by every space with this
+    /// structure.
+    pub(crate) fn components(&self) -> &Components {
+        self.structure
+            .components
+            .get_or_init(|| strongly_connected_components(self))
     }
 
     /// Returns a `State` buffer of this space's width, for
     /// [`load`](Self::load).
     pub(crate) fn buffer(&self) -> State {
-        State::zero(self.width)
+        State::zero(self.structure.width)
     }
 
     /// Copies the state at `index` into `buffer` and returns it: how the
@@ -396,12 +521,228 @@ impl StateSpace {
     }
 }
 
+impl SpaceStructure {
+    /// This structure weighed with `crn`'s rates, without enumerating: bit
+    /// for bit the space
+    /// [`enumerate_absorbing`](StateSpace::enumerate_absorbing) builds from
+    /// `crn` with the same initial state, bounds and absorbing predicate.
+    /// Each expanded row runs enumeration's loop over the reactions without
+    /// the lookups, in O(states · reactions): a firing within the caps
+    /// weighs the row's next edge and one past them adds to its leak. The
+    /// structure, its strongly connected components included, is shared
+    /// with the result.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CmeError::StoichiometryMismatch`] unless `crn` has the
+    /// species, in the same order, and the reactions, with the same terms,
+    /// of the network this structure was enumerated from. Rates and labels
+    /// may differ.
+    pub fn weigh(&self, crn: &Crn) -> Result<StateSpace, CmeError> {
+        let s = &*self.0;
+        if !s.network.matches(crn) {
+            return Err(CmeError::StoichiometryMismatch {
+                message: format!(
+                    "the space was enumerated from {} species and {} reactions with \
+                     other terms than the network's {} species and {} reactions",
+                    s.network.species.len(),
+                    s.network.reactions.len(),
+                    crn.species_len(),
+                    crn.reactions().len()
+                ),
+            });
+        }
+        let steps = steps(crn, &species_weights(crn));
+        let mut edge_rate = Vec::with_capacity(s.edge_target.len());
+        let mut leak = Vec::with_capacity(s.absorbing.len());
+        for (state, &is_absorbing) in s.absorbing.iter().enumerate() {
+            let row = &s.counts[state * s.width..(state + 1) * s.width];
+            let mut leaked = 0.0f64;
+            if !is_absorbing {
+                for step in &steps {
+                    let rate = propensity(step.reaction, row);
+                    if rate <= 0.0 {
+                        continue;
+                    }
+                    // Only truncating bounds keep a space with such a firing.
+                    if step.over_cap(row, &s.caps).is_some() {
+                        leaked += rate;
+                    } else {
+                        edge_rate.push(rate);
+                    }
+                }
+            }
+            debug_assert_eq!(edge_rate.len(), s.edge_ptr[state + 1]);
+            leak.push(leaked);
+        }
+        Ok(StateSpace {
+            structure: Arc::clone(&self.0),
+            edge_rate,
+            leak,
+        })
+    }
+
+    /// Returns the bytes holding this structure takes: the structure
+    /// itself, every vector it owns, and room for its strongly connected
+    /// components whether or not they are built yet. Each allocation is
+    /// charged 32 bytes past its size, more than glibc's malloc adds.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(len: usize) -> usize {
+            match len * std::mem::size_of::<T>() {
+                0 => 0,
+                n => n + ALLOCATION_SLACK,
+            }
+        }
+        fn vec<T>(v: &Vec<T>) -> usize {
+            bytes::<T>(v.capacity())
+        }
+        let s = &*self.0;
+        let network = vec(&s.network.species)
+            + s.network
+                .species
+                .iter()
+                .map(|name| bytes::<u8>(name.capacity()))
+                .sum::<usize>()
+            + vec(&s.network.reactions)
+            + s.network
+                .reactions
+                .iter()
+                .map(|(r, p)| vec(r) + vec(p))
+                .sum::<usize>();
+        // One member per state, and at most one start per state plus one.
+        let components = bytes::<usize>(s.absorbing.len()) + bytes::<usize>(s.absorbing.len() + 1);
+        // The `Arc`'s allocation: two counts and the structure.
+        bytes::<Structure>(1)
+            + 2 * std::mem::size_of::<usize>()
+            + network
+            + vec(&s.caps)
+            + vec(&s.counts)
+            + vec(&s.edge_ptr)
+            + vec(&s.edge_target)
+            + vec(&s.absorbing)
+            + components
+    }
+}
+
+/// What one heap allocation is charged past its size in
+/// [`SpaceStructure::heap_bytes`]: glibc's malloc, for one, adds an 8-byte
+/// header and rounds up to a multiple of 16 bytes, 32 at least, so it never
+/// takes 32 bytes more than was asked.
+const ALLOCATION_SLACK: usize = 32;
+
+/// The strongly connected components of a state space, in Tarjan emission
+/// order: every component appears *before* the components that can reach
+/// it (sinks first). They are stored flat, one list of members cut at
+/// `starts`, because most spaces condense into thousands of singletons.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Components {
+    members: Vec<usize>,
+    /// Component `c` is `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl Components {
+    /// Returns component `c`'s members, in the order Tarjan popped them.
+    pub(crate) fn get(&self, c: usize) -> &[usize] {
+        &self.members[self.starts[c]..self.starts[c + 1]]
+    }
+
+    /// Returns the components in emission order.
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &[usize]> + '_ {
+        self.starts
+            .windows(2)
+            .map(|bounds| &self.members[bounds[0]..bounds[1]])
+    }
+}
+
+/// Iterative Tarjan over the state-space transition graph.
+fn strongly_connected_components(space: &StateSpace) -> Components {
+    let n = space.len();
+    const UNVISITED: usize = usize::MAX;
+    let mut index = vec![UNVISITED; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    let mut components = Components {
+        members: Vec::with_capacity(n),
+        starts: vec![0],
+    };
+    // Explicit DFS frames: (state, iterator position over its successors).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+
+    for root in 0..n {
+        if index[root] != UNVISITED {
+            continue;
+        }
+        frames.push((root, 0));
+        index[root] = next_index;
+        low[root] = next_index;
+        next_index += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        while let Some(&(v, edge)) = frames.last() {
+            let successor = space.successors(v).get(edge).copied();
+            match successor {
+                Some(w) => {
+                    frames.last_mut().expect("frame exists").1 += 1;
+                    if index[w] == UNVISITED {
+                        index[w] = next_index;
+                        low[w] = next_index;
+                        next_index += 1;
+                        stack.push(w);
+                        on_stack[w] = true;
+                        frames.push((w, 0));
+                    } else if on_stack[w] {
+                        low[v] = low[v].min(index[w]);
+                    }
+                }
+                None => {
+                    frames.pop();
+                    if let Some(&(parent, _)) = frames.last() {
+                        low[parent] = low[parent].min(low[v]);
+                    }
+                    if low[v] == index[v] {
+                        loop {
+                            let w = stack.pop().expect("tarjan stack underflow");
+                            on_stack[w] = false;
+                            components.members.push(w);
+                            if w == v {
+                                break;
+                            }
+                        }
+                        components.starts.push(components.members.len());
+                    }
+                }
+            }
+        }
+    }
+    // Held as long as the structure: give back the doubling's slack, so
+    // `heap_bytes`' allowance of one start per state covers it.
+    components.starts.shrink_to_fit();
+    components
+}
+
 /// Copies `counts` into `buffer`, which has one slot per count.
 fn load<'b>(buffer: &'b mut State, counts: &[u64]) -> &'b State {
     for (s, &count) in counts.iter().enumerate() {
         buffer.set(SpeciesId::from_index(s), count);
     }
     buffer
+}
+
+/// The key weight of each of `crn`'s species.
+fn species_weights(crn: &Crn) -> Vec<u64> {
+    (0..crn.species_len()).map(species_weight).collect()
+}
+
+/// The steps of `crn`'s reactions that are not self-loops, in reaction
+/// order: the order in which a state's edges are found and weighed.
+fn steps<'a>(crn: &'a Crn, weights: &[u64]) -> Vec<Step<'a>> {
+    crn.reactions()
+        .iter()
+        .filter_map(|reaction| Step::new(reaction, weights))
+        .collect()
 }
 
 /// The key weight of species `s`: an odd pseudo-random word (SplitMix64's
@@ -785,15 +1126,63 @@ mod tests {
         .unwrap();
     }
 
+    /// A space as plain vectors, rates and leaks as their bits.
+    #[derive(Debug, Default, PartialEq)]
+    struct Flat {
+        width: usize,
+        counts: Vec<u64>,
+        absorbing: Vec<bool>,
+        edge_ptr: Vec<usize>,
+        edge_target: Vec<usize>,
+        rate_bits: Vec<u64>,
+        leak_bits: Vec<u64>,
+        truncated: bool,
+    }
+
+    impl Flat {
+        fn of(space: &StateSpace) -> Flat {
+            let s = &*space.structure;
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+            Flat {
+                width: s.width,
+                counts: s.counts.clone(),
+                absorbing: s.absorbing.clone(),
+                edge_ptr: s.edge_ptr.clone(),
+                edge_target: s.edge_target.clone(),
+                rate_bits: bits(&space.edge_rate),
+                leak_bits: bits(&space.leak),
+                truncated: s.truncated,
+            }
+        }
+
+        /// The first field in which `self` and `other` differ.
+        fn difference(&self, other: &Flat) -> Option<&'static str> {
+            [
+                ("width", self.width == other.width),
+                ("states", self.counts == other.counts),
+                ("absorbing flags", self.absorbing == other.absorbing),
+                ("edge rows", self.edge_ptr == other.edge_ptr),
+                ("edge targets", self.edge_target == other.edge_target),
+                ("rate bits", self.rate_bits == other.rate_bits),
+                ("leak bits", self.leak_bits == other.leak_bits),
+                ("truncation", self.truncated == other.truncated),
+            ]
+            .into_iter()
+            .find(|(_, same)| !same)
+            .map(|(what, _)| what)
+        }
+    }
+
     /// The enumerator the arena rewrite replaced, kept as its reference: a
-    /// heap `State` cloned per expansion and built per successor, and every
-    /// state stored twice, once as a SipHash key.
+    /// heap `State` cloned per expansion and built per successor, every
+    /// state stored twice, once as a SipHash key, and each edge weighed by
+    /// the propensity as it is found.
     fn reference<F>(
         crn: &Crn,
         initial: &State,
         bounds: &PopulationBounds,
         absorbing: F,
-    ) -> Result<StateSpace, CmeError>
+    ) -> Result<Flat, CmeError>
     where
         F: Fn(&State) -> bool,
     {
@@ -823,15 +1212,11 @@ mod tests {
         }
         let mut states = vec![initial.clone()];
         let mut index = HashMap::from([(initial.clone(), 0usize)]);
-        let mut space = StateSpace {
+        let mut space = Flat {
             width: initial.species_len(),
-            counts: Vec::new(),
             edge_ptr: vec![0],
-            edge_target: Vec::new(),
-            edge_rate: Vec::new(),
-            leak: Vec::new(),
-            absorbing: Vec::new(),
             truncated: bounds.policy() == BoundaryPolicy::Truncate,
+            ..Flat::default()
         };
         let mut next = 0usize;
         while next < states.len() {
@@ -878,11 +1263,11 @@ mod tests {
                         }
                     };
                     space.edge_target.push(target);
-                    space.edge_rate.push(rate);
+                    space.rate_bits.push(rate.to_bits());
                 }
             }
             space.edge_ptr.push(space.edge_target.len());
-            space.leak.push(leak);
+            space.leak_bits.push(leak.to_bits());
             next += 1;
         }
         space.counts = states.iter().flat_map(|s| s.counts()).copied().collect();
@@ -904,38 +1289,22 @@ mod tests {
         F: Fn(&State) -> bool,
     {
         let expected = reference(crn, initial, bounds, &absorbing);
-        let actual = StateSpace::explore(crn, initial, bounds, &absorbing, weights);
-        let (expected, actual) = match (expected, actual) {
-            (Ok(e), Ok(a)) => (e, a),
-            (Err(e), Err(a)) if e == a => return Ok(()),
-            (e, a) => {
-                return Err(format!(
-                    "results differ: reference {:?}, enumerator {:?}",
-                    e.map(|s| s.len()),
-                    a.map(|s| s.len())
-                ))
-            }
-        };
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let checks = [
-            ("width", expected.width == actual.width),
-            ("states", expected.counts == actual.counts),
-            ("absorbing flags", expected.absorbing == actual.absorbing),
-            ("edge rows", expected.edge_ptr == actual.edge_ptr),
-            ("edge targets", expected.edge_target == actual.edge_target),
-            (
-                "rate bits",
-                bits(&expected.edge_rate) == bits(&actual.edge_rate),
-            ),
-            ("leak bits", bits(&expected.leak) == bits(&actual.leak)),
-            ("truncation", expected.truncated == actual.truncated),
-        ];
-        match checks.iter().find(|(_, same)| !same) {
-            Some((what, _)) => Err(format!(
-                "{what} differ over {} reference states",
-                expected.len()
+        let actual =
+            StateSpace::explore(crn, initial, bounds, &absorbing, weights).map(|s| Flat::of(&s));
+        match (expected, actual) {
+            (Ok(e), Ok(a)) => match e.difference(&a) {
+                Some(what) => Err(format!(
+                    "{what} differ over {} reference states",
+                    e.absorbing.len()
+                )),
+                None => Ok(()),
+            },
+            (Err(e), Err(a)) if e == a => Ok(()),
+            (e, a) => Err(format!(
+                "results differ: reference {:?}, enumerator {:?}",
+                e.map(|s| s.absorbing.len()),
+                a.map(|s| s.absorbing.len())
             )),
-            None => Ok(()),
         }
     }
 
@@ -1060,6 +1429,176 @@ mod tests {
                     verdict.unwrap_err()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn reweighting_refuses_other_stoichiometry() {
+        let (crn, initial) = isomerisation();
+        let space = StateSpace::enumerate(&crn, &initial, &PopulationBounds::strict(3)).unwrap();
+        for other in [
+            "a -> 2 b @ 1\nb -> a @ 2",
+            "a -> b @ 1",
+            "a -> b @ 1\nb -> a @ 2\na -> a @ 1",
+            "b -> a @ 1\na -> b @ 2",
+            "a -> c @ 1\nc -> a @ 2",
+        ] {
+            let other: Crn = other.parse().unwrap();
+            assert!(
+                matches!(
+                    space.reweight(&other),
+                    Err(CmeError::StoichiometryMismatch { .. })
+                ),
+                "{}",
+                other.to_text()
+            );
+        }
+        // Rates and labels may differ.
+        let relabelled: Crn = "a -> b @ 5 # forward\nb -> a @ 0.5".parse().unwrap();
+        let reweighted = space.reweight(&relabelled).unwrap();
+        assert!(Arc::ptr_eq(&space.structure, &reweighted.structure));
+        assert_eq!(reweighted.total_outflow(0), 15.0);
+    }
+
+    #[test]
+    fn reweighting_shares_the_components() {
+        let (crn, initial) = isomerisation();
+        let space = StateSpace::enumerate(&crn, &initial, &PopulationBounds::strict(3)).unwrap();
+        let components: *const Components = space.components();
+        let faster: Crn = "a -> b @ 7\nb -> a @ 9".parse().unwrap();
+        let reweighted = space.reweight(&faster).unwrap();
+        assert!(std::ptr::eq(components, reweighted.components()));
+        assert!(space.structure().heap_bytes() > 4 * 2 * std::mem::size_of::<u64>());
+    }
+
+    /// Renders a query's outcome with every float in full (Debug prints
+    /// the shortest string that round-trips), so equal strings mean equal
+    /// bits.
+    fn exact<T: std::fmt::Debug>(result: &Result<T, CmeError>) -> String {
+        format!("{result:?}")
+    }
+
+    /// The stationary verdict's numbers, in full.
+    fn stationary_bits(result: &Result<crate::StationaryDistribution, CmeError>) -> String {
+        match result {
+            Ok(s) => format!(
+                "{:?} {} {:?}",
+                s.probabilities(),
+                s.recurrent_states(),
+                s.boundary_mass()
+            ),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    proptest! {
+        /// A space enumerated at one set of rates and re-weighted to
+        /// another is, bit for bit, the space enumerated at the other:
+        /// rows, targets, rates, leak, absorbing flags and component order.
+        /// First passages and the four checker queries solved on it match
+        /// their fresh entry points bit for bit, errors included.
+        #[test]
+        fn reweighted_spaces_match_fresh_enumerations(
+            species in 1usize..4,
+            specs in prop::collection::vec(
+                (
+                    // Dense reactants and populated initial states, so
+                    // that most reactions fire.
+                    prop::collection::vec(0u32..4, 6),
+                    prop::collection::vec(0u32..5, 6),
+                    0.1f64..10.0,
+                ),
+                2..7,
+            ),
+            rates in prop::collection::vec(0.01f64..100.0, 7),
+            truncating in 0u32..4,
+            cap in 2u64..7,
+            counts in prop::collection::vec(1u64..6, 6),
+            targets in (0usize..6, 1u64..4, 0usize..6, 1u64..4),
+            window in (0.0f64..0.5, -0.05f64..1.0),
+        ) {
+            let crn_a = network(species, &specs, false);
+            let respecified: Vec<ReactionSpec> = specs
+                .iter()
+                .zip(&rates)
+                .map(|((r, p, _), &k)| (r.clone(), p.clone(), k))
+                .collect();
+            let crn_b = network(species, &respecified, false);
+            // Strict bounds in one case in four: births often exceed them.
+            let bounds = if truncating == 0 {
+                PopulationBounds::strict(cap)
+            } else {
+                PopulationBounds::truncating(cap)
+            };
+            let initial: State = counts[..species].iter().map(|&c| c % (cap + 1)).collect();
+            // Thresholds above the initial counts, so the start decides
+            // nothing.
+            let (t, kt, c, kc) = targets;
+            let (t, c) = (SpeciesId::from_index(t % species), SpeciesId::from_index(c % species));
+            let (kt, kc) = (initial.count(t) + kt, initial.count(c) + kc);
+            let target = move |s: &State| s.count(t) >= kt;
+            let competitor = move |s: &State| s.count(c) >= kc;
+            let window = (window.0, window.0 + window.1);
+
+            // The spaces themselves, free and with absorbing targets.
+            for absorbing in [&(|_: &State| false) as &dyn Fn(&State) -> bool, &target] {
+                let a = StateSpace::enumerate_absorbing(&crn_a, &initial, &bounds, absorbing);
+                let b = StateSpace::enumerate_absorbing(&crn_b, &initial, &bounds, absorbing);
+                match (a, b) {
+                    (Ok(a), Ok(b)) => {
+                        let reweighted = a.reweight(&crn_b).unwrap();
+                        let verdict = Flat::of(&b).difference(&Flat::of(&reweighted));
+                        prop_assert!(verdict.is_none(), "{}", verdict.unwrap_or_default());
+                        prop_assert_eq!(reweighted.components(), b.components());
+                    }
+                    (a, b) => prop_assert_eq!(a.err(), b.err()),
+                }
+            }
+
+            // Each query: its enumerate half at crn_a's rates, re-weighted to
+            // crn_b's, then its solve half, against the fresh entry point.
+            let checker_a = crate::Checker::new(&crn_a, initial.clone(), bounds.clone());
+            let checker_b = crate::Checker::new(&crn_b, initial.clone(), bounds.clone());
+            let passage = |crn| {
+                crate::FirstPassage::new(crn)
+                    .outcome("target", target)
+                    .outcome("competitor", competitor)
+            };
+            let (passage_a, passage_b) = (passage(&crn_a), passage(&crn_b));
+            let fresh = passage_b.solve(&initial, &bounds);
+            let split = passage_a
+                .enumerate(&initial, &bounds)
+                .and_then(|space| space.reweight(&crn_b))
+                .and_then(|space| passage_b.solve_space(&space));
+            prop_assert_eq!(exact(&fresh), exact(&split), "first passage");
+
+            let fresh = checker_b.reach_before(target, competitor);
+            let split = checker_a
+                .reach_before_space(target, competitor)
+                .and_then(|space| space.reweight(&crn_b))
+                .and_then(|space| checker_b.reach_before_on(&space, target, competitor));
+            prop_assert_eq!(exact(&fresh), exact(&split), "reach_before");
+
+            let fresh = checker_b.reach_within(target, window);
+            let split = checker_a
+                .reach_within_space(window)
+                .and_then(|space| space.reweight(&crn_b))
+                .and_then(|space| checker_b.reach_within_on(&space, target, window));
+            prop_assert_eq!(exact(&fresh), exact(&split), "reach_within");
+
+            let fresh = checker_b.hitting_time(target);
+            let split = checker_a
+                .hitting_time_space(target)
+                .and_then(|space| space.reweight(&crn_b))
+                .and_then(|space| checker_b.hitting_time_on(&space));
+            prop_assert_eq!(exact(&fresh), exact(&split), "hitting_time");
+
+            let fresh = checker_b.stationary();
+            let split = checker_a
+                .stationary_space()
+                .and_then(|space| space.reweight(&crn_b))
+                .and_then(|space| checker_b.stationary_on(space));
+            prop_assert_eq!(stationary_bits(&fresh), stationary_bits(&split), "stationary");
         }
     }
 

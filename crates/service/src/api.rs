@@ -11,7 +11,9 @@
 //! `wait: true` (and, for a simulate shard, the resolved method and a
 //! `range`) is the body a fabric coordinator posts to a worker.
 
-use cme::{Checker, FirstPassage, PopulationBounds, StateSpace};
+use std::fmt::Write as _;
+
+use cme::{Checker, CmeError, FirstPassage, PopulationBounds, StateSpace};
 use crn::{Crn, State};
 use gillespie::{
     ClassifierReport, EnsembleOptions, EnsemblePartial, EnsemblePartialParts, EnsembleReport,
@@ -550,14 +552,25 @@ impl ExactRequest {
         format!("exact{}", self.document.render())
     }
 
-    /// Runs the analysis and renders the result body.
+    /// Runs the analysis and renders the result body, enumerating its
+    /// state space afresh.
     ///
     /// # Errors
     ///
     /// [`ServiceError::JobFailed`] wrapping the CME error.
     pub fn execute(&self) -> Result<String, ServiceError> {
-        let failed = |e: cme::CmeError| ServiceError::JobFailed {
+        self.execute_in(&mut Fresh)
+    }
+
+    /// [`execute`](Self::execute) with the state space from `spaces`; the
+    /// body is the same whichever way the space was obtained.
+    pub(crate) fn execute_in(&self, spaces: &mut impl Spaces) -> Result<String, ServiceError> {
+        let failed = |e: CmeError| ServiceError::JobFailed {
             message: e.to_string(),
+        };
+        let key = |targets: Vec<(&str, u64)>| {
+            let bounds = self.document.get("bounds").expect("documents hold bounds");
+            structure_key(&self.crn, &self.initial, bounds, &targets)
         };
         match &self.analysis {
             ExactAnalysis::FirstPassage { outcomes } => {
@@ -567,7 +580,18 @@ impl ExactRequest {
                         .outcome_species_at_least(name.as_str(), species, *at_least)
                         .map_err(failed)?;
                 }
-                let distribution = passage.solve(&self.initial, &self.bounds).map_err(failed)?;
+                let targets = outcomes
+                    .iter()
+                    .map(|(_, species, at_least)| (species.as_str(), *at_least))
+                    .collect();
+                let space = spaces
+                    .space(
+                        || key(targets),
+                        &self.crn,
+                        || passage.enumerate(&self.initial, &self.bounds),
+                    )
+                    .map_err(failed)?;
+                let distribution = passage.solve_space(&space).map_err(failed)?;
                 let probabilities: Vec<(String, Json)> = distribution
                     .names()
                     .iter()
@@ -589,7 +613,12 @@ impl ExactRequest {
                 tolerance,
                 species,
             } => {
-                let space = StateSpace::enumerate(&self.crn, &self.initial, &self.bounds)
+                let space = spaces
+                    .space(
+                        || key(Vec::new()),
+                        &self.crn,
+                        || StateSpace::enumerate(&self.crn, &self.initial, &self.bounds),
+                    )
                     .map_err(failed)?;
                 let solution = space.transient(*t, *tolerance).map_err(failed)?;
                 let mut expectations = Vec::new();
@@ -832,16 +861,38 @@ impl CheckPoint {
         with_wait(self.document.clone())
     }
 
-    /// Evaluates the property and renders the verdict document. Every kind
-    /// carries a headline `value` field (the number a sweep plots) plus its
-    /// full verdict breakdown.
+    /// Evaluates the property and renders the verdict document, enumerating
+    /// its state space afresh. Every kind carries a headline `value` field
+    /// (the number a sweep plots) plus its full verdict breakdown.
     ///
     /// # Errors
     ///
     /// [`ServiceError::JobFailed`] wrapping the CME error.
     pub fn execute(&self) -> Result<String, ServiceError> {
-        let failed = |e: cme::CmeError| ServiceError::JobFailed {
+        self.execute_in(&mut Fresh)
+    }
+
+    /// [`execute`](Self::execute) with the state space from `spaces`; the
+    /// body is the same whichever way the space was obtained.
+    pub(crate) fn execute_in(&self, spaces: &mut impl Spaces) -> Result<String, ServiceError> {
+        let failed = |e: CmeError| ServiceError::JobFailed {
             message: e.to_string(),
+        };
+        let key = |targets: &[&CheckTarget]| {
+            let bounds = self.document.get("bounds").expect("documents hold bounds");
+            let targets: Vec<(&str, u64)> = targets
+                .iter()
+                .map(|t| (t.species.as_str(), t.at_least))
+                .collect();
+            structure_key(&self.crn, &self.initial, bounds, &targets)
+        };
+        let at_least = |target: &CheckTarget| {
+            let id = self
+                .crn
+                .species_id(&target.species)
+                .expect("species validated at parse time");
+            let threshold = target.at_least;
+            move |s: &State| s.count(id) >= threshold
         };
         let checker = Checker::new(&self.crn, self.initial.clone(), self.bounds.clone());
         let mut members = vec![
@@ -850,12 +901,15 @@ impl CheckPoint {
         ];
         match &self.property {
             CheckProperty::ReachBefore { target, competitor } => {
-                let verdict = checker
-                    .reach_before_species(
-                        (&target.species, target.at_least),
-                        (&competitor.species, competitor.at_least),
+                let (hit, lose) = (at_least(target), at_least(competitor));
+                let space = spaces
+                    .space(
+                        || key(&[target, competitor]),
+                        &self.crn,
+                        || checker.reach_before_space(hit, lose),
                     )
                     .map_err(failed)?;
+                let verdict = checker.reach_before_on(&space, hit, lose).map_err(failed)?;
                 members.extend([
                     ("states", Json::count(verdict.states as u64)),
                     ("value", Json::num(verdict.target)),
@@ -866,8 +920,15 @@ impl CheckPoint {
                 ]);
             }
             CheckProperty::ReachWithin { target, window } => {
+                let space = spaces
+                    .space(
+                        || key(&[]),
+                        &self.crn,
+                        || checker.reach_within_space(*window),
+                    )
+                    .map_err(failed)?;
                 let verdict = checker
-                    .species_within(&target.species, target.at_least, *window)
+                    .reach_within_on(&space, at_least(target), *window)
                     .map_err(failed)?;
                 members.extend([
                     ("states", Json::count(verdict.states as u64)),
@@ -878,9 +939,14 @@ impl CheckPoint {
                 ]);
             }
             CheckProperty::HittingTime { target } => {
-                let verdict = checker
-                    .hitting_time_species(&target.species, target.at_least)
+                let space = spaces
+                    .space(
+                        || key(&[target]),
+                        &self.crn,
+                        || checker.hitting_time_space(at_least(target)),
+                    )
                     .map_err(failed)?;
+                let verdict = checker.hitting_time_on(&space).map_err(failed)?;
                 let mean = verdict.conditional_mean.map_or(Json::Null, Json::num);
                 members.extend([
                     ("states", Json::count(verdict.states as u64)),
@@ -890,12 +956,15 @@ impl CheckPoint {
                 ]);
             }
             CheckProperty::Stationary { target } => {
-                let stationary = checker.stationary().map_err(failed)?;
+                let space = spaces
+                    .space(|| key(&[]), &self.crn, || checker.stationary_space())
+                    .map_err(failed)?;
+                let stationary = checker.stationary_on(space).map_err(failed)?;
                 let id = self
                     .crn
                     .species_id(&target.species)
                     .expect("species validated at parse time");
-                let mass = stationary.mass(|s| s.count(id) >= target.at_least);
+                let mass = stationary.mass(at_least(target));
                 members.extend([
                     ("states", Json::count(stationary.space().len() as u64)),
                     ("value", Json::num(mass)),
@@ -911,6 +980,65 @@ impl CheckPoint {
         }
         Ok(Json::object(members).render())
     }
+}
+
+/// Where an exact solve gets its state space: [`ExactRequest::execute`]
+/// and [`CheckPoint::execute`] enumerate afresh, and the daemon's
+/// [`StructureCache`](crate::StructureCache) weighs a structure it holds.
+pub(crate) trait Spaces {
+    /// The space `enumerate` builds for `crn`. `key` names its structure:
+    /// everything `enumerate` reads but the rates.
+    fn space(
+        &mut self,
+        key: impl FnOnce() -> String,
+        crn: &Crn,
+        enumerate: impl FnOnce() -> Result<StateSpace, CmeError>,
+    ) -> Result<StateSpace, CmeError>;
+}
+
+/// Enumerates every space afresh.
+struct Fresh;
+
+impl Spaces for Fresh {
+    fn space(
+        &mut self,
+        _: impl FnOnce() -> String,
+        _: &Crn,
+        enumerate: impl FnOnce() -> Result<StateSpace, CmeError>,
+    ) -> Result<StateSpace, CmeError> {
+        enumerate()
+    }
+}
+
+/// The structure key of a model's state space: everything enumeration
+/// reads but the rates. That is the species in order, each reaction's
+/// reactant and product terms (no rates, no labels), the whole initial
+/// state, the canonical bounds document and the absorbing targets
+/// (`species ≥ at_least`, any of which absorbs). Counts are written as
+/// integers, never through `f64`.
+fn structure_key(crn: &Crn, initial: &State, bounds: &Json, targets: &[(&str, u64)]) -> String {
+    let names: Vec<&str> = crn.species().iter().map(|s| s.name()).collect();
+    let mut key = format!("species {names:?} reactions [");
+    for reaction in crn.reactions() {
+        for (side, terms) in [("", reaction.reactants()), (" ->", reaction.products())] {
+            key.push_str(side);
+            for term in terms {
+                let _ = write!(key, " {}:{}", term.species.index(), term.coefficient);
+            }
+        }
+        key.push(';');
+    }
+    let _ = write!(
+        key,
+        "] initial {:?} bounds {} absorbing [",
+        initial.counts(),
+        bounds.render()
+    );
+    for (species, at_least) in targets {
+        let _ = write!(key, "{species:?} {at_least};");
+    }
+    key.push(']');
+    key
 }
 
 /// A parsed `POST /check` request: one property check, or a parameter

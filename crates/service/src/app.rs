@@ -35,6 +35,7 @@
 //! fixed seed), so the header is the *only* way to tell them apart.
 
 use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -55,6 +56,9 @@ use crate::scheduler::{
     ChunkOutput, JobId, JobSnapshot, JobState, JobWork, Scheduler, SchedulerTelemetry, SubmitError,
 };
 use crate::server::{Server, ServerHandle};
+use crate::structures::{
+    StructureCache, UnitSpaces, STRUCTURE_CACHE_BYTES, STRUCTURE_CACHE_ENTRIES,
+};
 
 /// How long a `wait: true` submission blocks before degrading to a `202`
 /// status response the client can poll.
@@ -105,6 +109,9 @@ impl Default for ServiceConfig {
 pub struct App {
     scheduler: Scheduler,
     cache: ResultCache,
+    /// The rate-free structures of enumerated CME state spaces, weighed
+    /// for `/exact` and `/check` solves that differ only in their rates.
+    structures: StructureCache,
     metrics: Metrics,
     /// Bounded ring of trace spans; `GET /trace/:job_id` reads it.
     trace: Arc<TraceSink>,
@@ -160,6 +167,7 @@ impl App {
                 Some(telemetry),
             ),
             cache: ResultCache::new(config.cache_capacity),
+            structures: StructureCache::new(STRUCTURE_CACHE_BYTES, STRUCTURE_CACHE_ENTRIES),
             metrics,
             trace,
             fabric,
@@ -177,6 +185,11 @@ impl App {
     /// The result cache, for embedders and tests.
     pub fn cache(&self) -> &ResultCache {
         &self.cache
+    }
+
+    /// The structure cache, for embedders and tests.
+    pub fn structures(&self) -> &StructureCache {
+        &self.structures
     }
 
     /// The typed metrics handles, for embedders and tests.
@@ -245,8 +258,9 @@ impl App {
     /// The cache and scheduler counters, owned by their subsystems rather
     /// than the registry, by section: the one list both `/metrics` formats
     /// render.
-    fn subsystem_counters(&self) -> [(&'static str, CounterRows); 2] {
+    fn subsystem_counters(&self) -> [(&'static str, CounterRows); 3] {
         let (cache, jobs) = (self.cache.stats(), self.scheduler.stats());
+        let structures = self.structures.stats();
         [
             (
                 "cache",
@@ -269,6 +283,17 @@ impl App {
                     ("cancelled", Some("jobs_cancelled_total"), jobs.cancelled),
                     ("rejected", Some("jobs_rejected_total"), jobs.rejected),
                     ("steals", Some("steals_total"), jobs.steals),
+                    ("panicked", None, self.metrics.jobs_panicked.get()),
+                ],
+            ),
+            (
+                "cme_structure_cache",
+                vec![
+                    ("entries", Some("entries"), structures.entries as u64),
+                    ("bytes", Some("bytes"), structures.bytes as u64),
+                    ("hits", Some("hits_total"), structures.hits),
+                    ("misses", Some("misses_total"), structures.misses),
+                    ("evictions", Some("evictions_total"), structures.evictions),
                 ],
             ),
         ]
@@ -633,18 +658,26 @@ impl Executor {
 
     /// Solves `/check` point `index`, returning its verdict body. An
     /// in-process solve records a `shard-exec` span under `trace`.
+    /// A local solve takes its state space from the structure cache and
+    /// adds the cache's verdict to `attrs`.
     fn run_check(
         &self,
         point: &CheckPoint,
         index: usize,
         cancel: &CancelToken,
         trace: &ShardTrace,
+        attrs: &mut UnitAttrs,
     ) -> Result<String, String> {
-        if let Executor::Fabric(fabric) = self {
-            return fabric.run_check(point, index, cancel, Some(trace));
-        }
+        let app = match self {
+            Executor::Local(app) => app,
+            Executor::Fabric(fabric) => return fabric.run_check(point, index, cancel, Some(trace)),
+        };
         let started_us = trace.sink.now_us();
-        let body = point.execute().map_err(|e| e.to_string())?;
+        let mut spaces = UnitSpaces {
+            cache: &app.structures,
+            attrs,
+        };
+        let body = point.execute_in(&mut spaces).map_err(|e| e.to_string())?;
         let property = point.property.kind_name().to_string();
         trace.record(
             "shard-exec",
@@ -656,10 +689,16 @@ impl Executor {
     }
 }
 
+/// Attributes a unit adds to its own span.
+type UnitAttrs = Vec<(&'static str, String)>;
+
 /// Runs unit `index` of a job on the scheduler thread, under the trace it
-/// records into.
-type RunUnit =
-    Box<dyn Fn(usize, &CancelToken, &ShardTrace) -> Result<ChunkOutput, String> + Send + Sync>;
+/// records into, adding any attributes of its own span to the list.
+type RunUnit = Box<
+    dyn Fn(usize, &CancelToken, &ShardTrace, &mut UnitAttrs) -> Result<ChunkOutput, String>
+        + Send
+        + Sync,
+>;
 
 /// Merges a job's unit outputs, in unit order, into its body; spans go
 /// under the job's root.
@@ -692,13 +731,14 @@ struct Job {
 }
 
 impl Job {
-    /// A job of one opaque in-process unit (`/exact`, `/synthesize`).
+    /// A job of one opaque in-process unit (`/exact`, `/synthesize`),
+    /// which may add attributes to its span.
     fn single(
         label: &'static str,
         key: String,
         priority: u8,
         wait: bool,
-        execute: impl Fn() -> Result<String, ServiceError> + Send + Sync + 'static,
+        execute: impl Fn(&mut UnitAttrs) -> Result<String, ServiceError> + Send + Sync + 'static,
     ) -> Job {
         Job {
             label,
@@ -709,8 +749,10 @@ impl Job {
             units: vec![label.to_string()],
             remote: None,
             early: Vec::new(),
-            run: Box::new(move |_, _, _| {
-                execute().map(ChunkOutput::Body).map_err(|e| e.to_string())
+            run: Box::new(move |_, _, _, attrs| {
+                execute(attrs)
+                    .map(ChunkOutput::Body)
+                    .map_err(|e| e.to_string())
             }),
             merge: Box::new(|outputs, _| Ok(bodies(outputs).remove(0))),
         }
@@ -720,6 +762,9 @@ impl Job {
     /// wrapper, which records the unit's span unless a coordinator
     /// dispatched it here; the merged body is cached, then the root `job`
     /// span closes. The merge runs under the scheduler lock.
+    ///
+    /// A unit or merge that panics fails its job with a typed message and
+    /// counts in `jobs_panicked_total`; the scheduler thread lives on.
     fn into_work(self, app: Arc<App>, id: JobId, submitted_us: u64) -> JobWork {
         let root = job_trace(&app.trace, id);
         let Job {
@@ -734,6 +779,7 @@ impl Job {
         } = self;
         let chunks = units.len();
         let unit_root = root.clone();
+        let unit_panics = Arc::clone(&app.metrics.jobs_panicked);
         let run_chunk = move |index: usize, cancel: &CancelToken| {
             let shard = index as u64;
             let trace = match &remote {
@@ -750,19 +796,26 @@ impl Job {
                 },
             };
             let started_us = unit_root.sink.now_us();
-            let result = run(index, cancel, &trace);
+            let mut attrs = UnitAttrs::new();
+            let result = catch_unwind(AssertUnwindSafe(|| run(index, cancel, &trace, &mut attrs)))
+                .unwrap_or_else(|payload| Err(panicked("unit", &unit_panics, payload)));
             if remote.is_none() {
-                unit_root.record(
-                    span,
-                    shard,
-                    started_us,
-                    &[(attr, units[index].clone()), ("outcome", outcome(&result))],
-                );
+                let own = [(attr, units[index].clone()), ("outcome", outcome(&result))];
+                // Most units add nothing: their span keeps its two
+                // attributes on the stack.
+                if attrs.is_empty() {
+                    unit_root.record(span, shard, started_us, &own);
+                } else {
+                    attrs.splice(0..0, own);
+                    unit_root.record(span, shard, started_us, &attrs);
+                }
             }
             result
         };
         let finish = move |outputs: Vec<ChunkOutput>| {
-            let result = merge(outputs, &root);
+            let result = catch_unwind(AssertUnwindSafe(|| merge(outputs, &root))).unwrap_or_else(
+                |payload| Err(panicked("merge", &app.metrics.jobs_panicked, payload)),
+            );
             if let Ok(body) = &result {
                 app.cache.insert(&key, body);
             }
@@ -786,6 +839,17 @@ impl Job {
             finish: Box::new(finish),
         }
     }
+}
+
+/// Counts a caught panic and turns its payload into the job's error.
+fn panicked(stage: &str, count: &obs::Counter, payload: Box<dyn std::any::Any + Send>) -> String {
+    count.inc();
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|m| m.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a non-string payload".to_string());
+    format!("internal error: a job {stage} panicked: {message}")
 }
 
 /// The bodies of units that produce bodies.
@@ -945,7 +1009,7 @@ fn submit_simulate(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, S
                 ],
             ),
         ],
-        run: Box::new(move |index, cancel, trace| {
+        run: Box::new(move |index, cancel, trace, _| {
             let partial = executor.run_shard(&run_request, plan[index], cancel, trace)?;
             // A shard renders its partial here, not in the merge: the merge
             // runs under the scheduler lock.
@@ -991,14 +1055,22 @@ fn merge_ensemble(
 fn submit_exact(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
     let request = ExactRequest::parse(&parse_body(ctx)?)?;
     let (key, priority, wait) = (request.cache_key(), request.priority, request.wait);
-    let job = Job::single("exact", key, priority, wait, move || request.execute());
+    let run_app = Arc::clone(app);
+    let job = Job::single("exact", key, priority, wait, move |attrs| {
+        request.execute_in(&mut UnitSpaces {
+            cache: &run_app.structures,
+            attrs,
+        })
+    });
     submit_cached_job(app, job)
 }
 
 fn submit_synthesize(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, ServiceError> {
     let request = SynthesizeRequest::parse(&parse_body(ctx)?)?;
     let (key, priority, wait) = (request.cache_key(), request.priority, request.wait);
-    let job = Job::single("synthesize", key, priority, wait, move || request.execute());
+    let job = Job::single("synthesize", key, priority, wait, move |_| {
+        request.execute()
+    });
     submit_cached_job(app, job)
 }
 
@@ -1027,13 +1099,13 @@ fn submit_check(app: &Arc<App>, ctx: &RouteContext<'_>) -> Result<Response, Serv
             .collect(),
         remote,
         early: Vec::new(),
-        run: Box::new(move |index, cancel, trace| {
+        run: Box::new(move |index, cancel, trace, attrs| {
             let point = &run_request.points[index];
             let key = run_request.sweep.as_ref().map(|_| point.cache_key());
             if let Some(body) = key.as_ref().and_then(|key| run_app.cache.lookup(key)) {
                 return Ok(ChunkOutput::Body(body));
             }
-            let body = executor.run_check(point, index, cancel, trace)?;
+            let body = executor.run_check(point, index, cancel, trace, attrs)?;
             if let Some(key) = &key {
                 run_app.cache.insert(key, &body);
             }

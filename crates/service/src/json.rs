@@ -107,10 +107,11 @@ impl Json {
     }
 
     /// Returns the number as a non-negative integer, or an error naming
-    /// `what`.
+    /// `what`. The bound is exclusive: `u64::MAX as f64` rounds up to 2⁶⁴,
+    /// which no `u64` holds, so the largest accepted value is 2⁶⁴ − 2048.
     pub fn as_u64(&self, what: &str) -> Result<u64, String> {
         let n = self.as_f64(what)?;
-        if n.fract() != 0.0 || !(0.0..=u64::MAX as f64).contains(&n) {
+        if n.fract() != 0.0 || !(0.0..u64::MAX as f64).contains(&n) {
             return Err(format!("{what}: expected a non-negative integer, got {n}"));
         }
         Ok(n as u64)
@@ -479,6 +480,19 @@ mod tests {
             1
         );
         assert!(value.get("missing").is_none());
+    }
+
+    #[test]
+    fn as_u64_refuses_two_to_the_sixty_four() {
+        // 2⁶⁴ is `u64::MAX as f64`; it used to saturate to u64::MAX.
+        for text in ["18446744073709551616", "18446744073709551615", "1e20"] {
+            let err = parse(text).unwrap().as_u64("cap").unwrap_err();
+            assert!(err.starts_with("cap: "), "{text}: {err}");
+        }
+        // The largest f64 below 2⁶⁴ is still a u64.
+        let largest = parse("18446744073709549568").unwrap();
+        assert_eq!(largest.as_u64("cap").unwrap(), 18_446_744_073_709_549_568);
+        assert_eq!(parse("0").unwrap().as_u64("cap").unwrap(), 0);
     }
 
     #[test]

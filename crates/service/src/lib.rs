@@ -23,7 +23,10 @@
 //!   `hash(model text, stepper, params, seed)`. Because the engine is
 //!   deterministic for a fixed seed, whole simulation results are
 //!   cacheable; replays are byte-identical and marked only by the
-//!   `cache: hit` response header.
+//!   `cache: hit` response header. Beside it, a [`StructureCache`] keeps
+//!   the rate-free structures of enumerated CME state spaces, so an exact
+//!   solve that differs from an earlier one only in its rates weighs a
+//!   held structure instead of enumerating again.
 //! * **[`Server`]/[`Router`]** — an embeddable blocking HTTP server and
 //!   route table; [`serve`] assembles the stock service, and the
 //!   `stochsynthd`/`stochsynth-cli` binaries wrap it for operations.
@@ -74,6 +77,7 @@ mod registry;
 mod router;
 mod scheduler;
 mod server;
+mod structures;
 
 mod client;
 
@@ -91,3 +95,6 @@ pub use scheduler::{
     SchedulerTelemetry, SubmitError,
 };
 pub use server::{ResponseObserver, Server, ServerHandle};
+pub use structures::{
+    StructureCache, StructureStats, STRUCTURE_CACHE_BYTES, STRUCTURE_CACHE_ENTRIES,
+};

@@ -65,6 +65,8 @@ pub struct Metrics {
     /// Scheduler queue wait (submission → first chunk dispatched),
     /// microseconds. The handle is shared with the scheduler's telemetry.
     pub queue_wait_us: Arc<Histogram>,
+    /// Job units and merges that panicked; each failed its job.
+    pub jobs_panicked: Arc<Counter>,
 }
 
 impl Default for Metrics {
@@ -84,6 +86,7 @@ impl Metrics {
             responses_5xx: registry.counter("http_responses_total{class=\"5xx\"}"),
             cache_lookup_us: registry.histogram("cache_lookup_duration_us"),
             queue_wait_us: registry.histogram("scheduler_queue_wait_us"),
+            jobs_panicked: registry.counter("jobs_panicked_total"),
             registry,
         };
         // The text exposition lists every resolution series from the start.

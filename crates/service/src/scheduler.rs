@@ -1207,12 +1207,19 @@ mod tests {
     fn terminal_jobs_are_retained_boundedly() {
         let scheduler = Scheduler::new(2, 2048);
         let total = TERMINAL_RETENTION + 50;
-        let ids: Vec<JobId> = (0..total)
-            .map(|_| {
-                scheduler
-                    .submit(5, "tiny", counting_job(1, Duration::ZERO))
-                    .unwrap()
-            })
+        let submit = || {
+            scheduler
+                .submit(5, "tiny", counting_job(1, Duration::ZERO))
+                .unwrap()
+        };
+        // Retention follows settle order, so job 0 settles before any other
+        // is submitted: it is then the oldest settled job on any schedule.
+        let first = submit();
+        scheduler
+            .wait_terminal(first, Duration::from_secs(60))
+            .expect("job 0 settles");
+        let ids: Vec<JobId> = std::iter::once(first)
+            .chain((1..total).map(|_| submit()))
             .collect();
         // Early jobs may already be evicted by the time they would be
         // polled, so wait on the aggregate counter instead.

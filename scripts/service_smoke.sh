@@ -144,6 +144,34 @@ EOF
 grep -q '"heads":0.75' "$WORK/exact.body" || { echo "exact endpoint wrong:"; cat "$WORK/exact.body"; exit 1; }
 echo "exact: P(heads) = 0.75"
 
+# --- exact: counts at the top of the u64 range ---------------------------
+# u64::MAX is 2^64 as a JSON number, which no u64 holds: a typed 400 naming
+# the field. The largest count a JSON number carries, 2^64 - 2048, asks for
+# a dense marginal no allocation can hold: the unit panics, its job fails
+# with a JSON body, and the daemon serves on (every later stage).
+cat >"$WORK/u64max.json" <<'EOF'
+{
+  "network": "0 -> a @ 1",
+  "initial": {"a": 18446744073709551615},
+  "bounds": {"policy": "truncating", "default_cap": 18446744073709551615},
+  "analysis": {"type": "transient", "t": 1, "species": ["a"]}
+}
+EOF
+if "$CLI" submit --server "$SERVER" --endpoint exact --file "$WORK/u64max.json" --wait \
+    >"$WORK/u64max.body" 2>"$WORK/u64max.meta"; then
+    echo "a count of u64::MAX was accepted:"; cat "$WORK/u64max.body"; exit 1
+fi
+grep -q '^HTTP 400$' "$WORK/u64max.meta" || { echo "u64::MAX: expected a 400"; cat "$WORK/u64max.meta" "$WORK/u64max.body"; exit 1; }
+grep -q '"error":"bad request: initial.a: ' "$WORK/u64max.body" || { echo "u64::MAX: the 400 does not name the field:"; cat "$WORK/u64max.body"; exit 1; }
+sed 's/18446744073709551615/18446744073709549568/g' "$WORK/u64max.json" >"$WORK/u64near.json"
+if "$CLI" submit --server "$SERVER" --endpoint exact --file "$WORK/u64near.json" --wait \
+    >"$WORK/u64near.body" 2>"$WORK/u64near.meta"; then
+    echo "a marginal up to 2^64 - 2048 was answered:"; cat "$WORK/u64near.body"; exit 1
+fi
+grep -q '^HTTP 500$' "$WORK/u64near.meta" || { echo "2^64 - 2048: expected a failed job"; cat "$WORK/u64near.meta" "$WORK/u64near.body"; exit 1; }
+grep -q '"state":"failed".*panicked' "$WORK/u64near.body" || { echo "2^64 - 2048: the failed job does not say it panicked:"; cat "$WORK/u64near.body"; exit 1; }
+echo "exact: u64::MAX is a typed 400, a panicking solve fails its job alone"
+
 # --- synthesize: scaled lambda response ----------------------------------
 cat >"$WORK/synthesize.json" <<'EOF'
 {
