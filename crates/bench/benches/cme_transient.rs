@@ -54,6 +54,20 @@ fn bench_dimerisation(c: &mut Criterion) {
     group.finish();
 }
 
+/// A drift from `a = 0` towards a mean past the cap over a 1201-state
+/// chain: the mass crosses every state, so a mass-following rate cannot
+/// stay below the fastest states and the solve retries up to `Λ`.
+fn bench_drift(c: &mut Criterion) {
+    let crn: Crn = "0 -> a @ 1000\na -> 0 @ 1".parse().expect("network");
+    let space = StateSpace::enumerate(&crn, &crn.zero_state(), &PopulationBounds::truncating(1200))
+        .expect("state space");
+    let mut group = c.benchmark_group("cme_transient/drift_1201");
+    group.bench_function(BenchmarkId::from_parameter("solve_t5"), |b| {
+        b.iter(|| space.transient(5.0, 1e-10).expect("transient"));
+    });
+    group.finish();
+}
+
 /// The paper's Example 1 at separation `gamma`, scaled down to about 20k
 /// first-passage states.
 fn example1(gamma: f64) -> StochasticModule {
@@ -154,6 +168,7 @@ criterion_group!(
     benches,
     bench_transient_scaling,
     bench_dimerisation,
+    bench_drift,
     bench_first_passage,
     bench_check_sweep
 );

@@ -183,16 +183,11 @@ impl GeneratorMatrix {
         self.uniformization_rate
     }
 
-    /// Builds the uniformized matrix `P = I + Q/Λ`, once per solve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the uniformization rate is zero (no transition can fire,
-    /// so there is nothing to uniformize).
-    pub(crate) fn uniformized(&self) -> UniformizedMatrix {
+    /// Builds the rate-free jump structure of this generator, once per
+    /// solve: every rate `Λ'` the solve tries is then one
+    /// [`JumpStructure::uniformized`] away.
+    pub(crate) fn jump_structure(&self) -> JumpStructure {
         let n = self.dimension();
-        let lambda = self.uniformization_rate;
-        assert!(lambda > 0.0, "uniformization rate must be positive");
         // Transposed CSR: count the entries of each column, then fill rows
         // in ascending order so every column lists its sources sorted.
         let mut col_ptr = vec![0usize; n + 1];
@@ -204,43 +199,38 @@ impl GeneratorMatrix {
         }
         let mut next_slot = col_ptr[..n].to_vec();
         let mut sources = vec![0usize; self.nnz()];
-        let mut probabilities = vec![0.0f64; self.nnz()];
+        let mut rates = vec![0.0f64; self.nnz()];
+        let mut exit = vec![0.0f64; n];
         let mut reach_start = Vec::with_capacity(n);
         let mut reach_end = Vec::with_capacity(n + 1);
         reach_end.push(0);
         let mut leaks = Vec::new();
         for i in 0..n {
-            let leak = self.leak[i] / lambda;
-            let off_diagonal: f64 = self
-                .row(i)
-                .filter(|&(j, _)| j != i)
-                .map(|(_, q)| q / lambda)
-                .sum();
-            // The diagonal closes the row at exactly `1 − leak_i/Λ`, so the
-            // mass a jump loses is the leak alone. Rounding can push the
-            // fastest row's self-loop a hair below zero; clamp it there.
-            let diagonal = (1.0 - leak - off_diagonal).max(0.0);
             for (j, q) in self.row(i) {
                 let slot = next_slot[j];
                 next_slot[j] += 1;
                 sources[slot] = i;
-                probabilities[slot] = if j == i { diagonal } else { q / lambda };
+                rates[slot] = q;
+                if j == i {
+                    exit[i] = -q;
+                }
             }
             // Every row stores its diagonal, so the range is never empty.
             let (first, last) = (self.row_ptr[i], self.row_ptr[i + 1] - 1);
             reach_start.push(self.cols[first]);
             reach_end.push(reach_end[i].max(self.cols[last] + 1));
-            if leak > 0.0 {
-                leaks.push((i, leak));
+            if self.leak[i] > 0.0 {
+                leaks.push((i, self.leak[i]));
             }
         }
         for i in (1..n).rev() {
             reach_start[i - 1] = reach_start[i - 1].min(reach_start[i]);
         }
-        UniformizedMatrix {
+        JumpStructure {
             col_ptr,
             sources,
-            probabilities,
+            rates,
+            exit,
             reach_start,
             reach_end,
             leaks,
@@ -248,20 +238,19 @@ impl GeneratorMatrix {
     }
 }
 
-/// The uniformized matrix `P = I + Q/Λ` of a [`GeneratorMatrix`], stored
-/// transposed so that each entry of a jump `v·P` is one short dot product
-/// over the states feeding it, with no division.
-///
-/// Row `i` of `P` sums to `1 − leak_i/Λ`, so one jump loses exactly
-/// [`leak_loss`](Self::leak_loss) of the vector's mass and nothing else.
+/// The generator of a [`GeneratorMatrix`] stored transposed, with each
+/// state's exit rate `|q_jj|`: everything a uniformized matrix needs but
+/// its rate.
 #[derive(Debug)]
-pub(crate) struct UniformizedMatrix {
+pub(crate) struct JumpStructure {
     /// `col_ptr[j]..col_ptr[j + 1]` indexes the entries of column `j`.
     col_ptr: Vec<usize>,
     /// Source state (row) of each entry.
     sources: Vec<usize>,
-    /// Jump probability `p_ij` of each entry.
-    probabilities: Vec<f64>,
+    /// Generator entry `q_ij` of each entry.
+    rates: Vec<f64>,
+    /// Each state's exit rate `|q_jj|`, leak included.
+    exit: Vec<f64>,
     /// `reach_start[lo]..reach_end[hi]` covers every column that rows
     /// `lo..hi` have an entry in: the states mass sitting on those rows can
     /// reach in one jump. `reach_start` is the suffix minimum of each row's
@@ -269,50 +258,132 @@ pub(crate) struct UniformizedMatrix {
     /// (exact for breadth-first state orders, a superset otherwise).
     reach_start: Vec<usize>,
     reach_end: Vec<usize>,
-    /// `(i, leak_i/Λ)` for every row that leaks out of the window.
+    /// `(i, leak_i)` for every row that leaks out of the window.
     leaks: Vec<(usize, f64)>,
 }
 
-impl UniformizedMatrix {
+impl JumpStructure {
+    /// Returns state `j`'s exit rate `|q_jj|`.
+    pub(crate) fn exit_rate(&self, j: usize) -> f64 {
+        self.exit[j]
+    }
+
+    /// Builds the uniformized matrix at rate `rate`: `P' = I + Q_A/Λ'` on
+    /// the accepted states `A = {j : |q_jj| ≤ Λ'}`. Each accepted state
+    /// keeps `1 − |q_jj|/Λ'` of its mass and passes `q_ij/Λ'` to each
+    /// accepted `j`; what it would pass to a state outside `A` is lost,
+    /// like leak. At the generator's own rate `Λ` every state is accepted.
+    pub(crate) fn uniformized(&self, rate: f64) -> UniformizedMatrix<'_> {
+        let n = self.exit.len();
+        let mut probabilities = vec![0.0f64; self.rates.len()];
+        let mut excluded = Vec::new();
+        for j in 0..n {
+            let column = self.col_ptr[j]..self.col_ptr[j + 1];
+            let accepted = self.exit[j] <= rate;
+            for (slot, (&i, &q)) in column
+                .clone()
+                .zip(self.sources[column.clone()].iter().zip(&self.rates[column]))
+            {
+                if i == j {
+                    // Rounding can push the fastest row's self-loop a hair
+                    // below zero; clamp it there.
+                    probabilities[slot] = (1.0 - self.exit[j] / rate).max(0.0);
+                } else if accepted {
+                    probabilities[slot] = q / rate;
+                } else if self.exit[i] <= rate {
+                    // Only accepted rows ever hold mass.
+                    excluded.push((i, q / rate));
+                }
+            }
+        }
+        UniformizedMatrix {
+            structure: self,
+            probabilities,
+            excluded,
+            leaks: self
+                .leaks
+                .iter()
+                .map(|&(i, leak)| (i, leak / rate))
+                .collect(),
+        }
+    }
+}
+
+/// The uniformized matrix `P' = I + Q_A/Λ'` of a [`JumpStructure`] at one
+/// rate, stored transposed so that each entry of a jump `v·P'` is one short
+/// dot product over the states feeding it, with no division.
+///
+/// Row `i` of `P'` sums to `1 − leak_i/Λ'` less what it sends outside the
+/// accepted states, so one jump loses exactly
+/// [`leak_loss`](Self::leak_loss) and [`excluded`](Self::excluded) of the
+/// vector's mass, up to rounding, besides what the floor flushes.
+#[derive(Debug)]
+pub(crate) struct UniformizedMatrix<'a> {
+    structure: &'a JumpStructure,
+    /// Jump probability `p_ij` of each entry of the structure.
+    probabilities: Vec<f64>,
+    /// `(i, q_ij/Λ')` for every entry from an accepted state `i` into a
+    /// state outside the accepted set.
+    excluded: Vec<(usize, f64)>,
+    /// `(i, leak_i/Λ')` for every row that leaks out of the window.
+    leaks: Vec<(usize, f64)>,
+}
+
+impl UniformizedMatrix<'_> {
     /// Returns the mass one jump from `v` loses through
-    /// finite-state-projection leak: `Σ_i v_i·leak_i/Λ` over the leaking
+    /// finite-state-projection leak: `Σ_i v_i·leak_i/Λ'` over the leaking
     /// rows only. Exactly zero when no row leaks.
     pub(crate) fn leak_loss(&self, v: &[f64]) -> f64 {
         self.leaks.iter().map(|&(i, leak)| v[i] * leak).sum()
     }
 
-    /// Computes one jump `out = v·P` where `v` is zero outside `window`,
-    /// writing only the entries that mass in `window` can reach.
+    /// Returns the mass one jump from `v` sends to states outside the
+    /// accepted set. Exactly zero when every state is accepted.
+    pub(crate) fn excluded(&self, v: &[f64]) -> f64 {
+        self.excluded.iter().map(|&(i, p)| v[i] * p).sum()
+    }
+
+    /// Computes one jump `out = v·P'` where `v` is zero outside `window`
+    /// and on every state outside the accepted set, writing only the
+    /// entries that mass in `window` can reach.
     ///
-    /// Entries below `f64::MIN_POSITIVE` (subnormal or zero) are flushed to
-    /// zero. Returns the index range that holds every nonzero of `out`
-    /// (empty when nothing is left) and the mass flushed. Entries of `out`
-    /// outside the reachable range are not touched; the caller keeps them
-    /// zero.
+    /// Entries below `floor` are flushed to zero. Returns the index range
+    /// that holds every nonzero of `out` (empty when nothing is left) and
+    /// the mass flushed. Entries of `out` outside the reachable range are
+    /// not touched; the caller keeps them zero.
     pub(crate) fn jump(
         &self,
         v: &[f64],
         window: Range<usize>,
+        floor: f64,
         out: &mut [f64],
     ) -> (Range<usize>, f64) {
+        // Slices bound once: read through the stored reference, the
+        // compiler cannot tell them apart from `out` and reloads them for
+        // every column.
+        let JumpStructure {
+            col_ptr,
+            sources,
+            reach_start,
+            reach_end,
+            ..
+        } = self.structure;
+        let probabilities = &self.probabilities[..];
         let (lo, hi) = if window.is_empty() {
             (0, 0)
         } else {
-            (self.reach_start[window.start], self.reach_end[window.end])
+            (reach_start[window.start], reach_end[window.end])
         };
         let mut flushed = 0.0f64;
         let (mut first, mut end) = (hi, lo);
-        let columns = self.col_ptr[lo..=hi].windows(2);
+        let columns = col_ptr[lo..=hi].windows(2);
         for (j, (slot, column)) in (lo..).zip(out[lo..hi].iter_mut().zip(columns)) {
             let range = column[0]..column[1];
             let mut sum = 0.0f64;
-            for (&i, &p) in self.sources[range.clone()]
-                .iter()
-                .zip(&self.probabilities[range])
-            {
+            for (&i, &p) in sources[range.clone()].iter().zip(&probabilities[range]) {
                 sum += v[i] * p;
             }
-            if sum < f64::MIN_POSITIVE {
+            if sum < floor {
                 flushed += sum;
                 sum = 0.0;
             } else {
@@ -400,11 +471,13 @@ mod tests {
     #[test]
     fn uniformized_matrix_preserves_mass_on_closed_systems() {
         let (_, space) = space_of("a -> b @ 1\nb -> a @ 2", &[("a", 4)], 4);
-        let matrix = GeneratorMatrix::from_space(&space).uniformized();
+        let generator = GeneratorMatrix::from_space(&space);
+        let structure = generator.jump_structure();
+        let matrix = structure.uniformized(generator.uniformization_rate());
         let mut v = vec![0.0; space.len()];
         v[0] = 1.0;
         let mut out = vec![0.0; space.len()];
-        let (window, flushed) = matrix.jump(&v, 0..1, &mut out);
+        let (window, flushed) = matrix.jump(&v, 0..1, f64::MIN_POSITIVE, &mut out);
         assert!((out.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(out.iter().all(|&p| p >= 0.0));
         assert!(out
@@ -413,6 +486,7 @@ mod tests {
             .all(|(i, &p)| p == 0.0 || window.contains(&i)));
         assert_eq!(flushed, 0.0);
         assert_eq!(matrix.leak_loss(&v), 0.0);
+        assert_eq!(matrix.excluded(&v), 0.0);
     }
 
     #[test]
@@ -421,12 +495,14 @@ mod tests {
         let space =
             StateSpace::enumerate(&crn, &crn.zero_state(), &PopulationBounds::truncating(3))
                 .unwrap();
-        let matrix = GeneratorMatrix::from_space(&space).uniformized();
+        let generator = GeneratorMatrix::from_space(&space);
+        let structure = generator.jump_structure();
+        let matrix = structure.uniformized(generator.uniformization_rate());
         let n = space.len();
         // Spread mass over every state, the leaking boundary included.
         let v = vec![1.0 / n as f64; n];
         let mut out = vec![0.0; n];
-        let (window, _) = matrix.jump(&v, 0..n, &mut out);
+        let (window, _) = matrix.jump(&v, 0..n, f64::MIN_POSITIVE, &mut out);
         assert_eq!(window, 0..n);
         let lost = 1.0 - out.iter().sum::<f64>();
         assert!(matrix.leak_loss(&v) > 0.0);
@@ -440,20 +516,46 @@ mod tests {
     #[test]
     fn jumps_flush_subnormal_mass_and_shrink_the_window() {
         let (_, space) = space_of("a -> b @ 1\nb -> a @ 1", &[("a", 2)], 2);
-        let matrix = GeneratorMatrix::from_space(&space).uniformized();
+        let structure = GeneratorMatrix::from_space(&space).jump_structure();
+        let matrix = structure.uniformized(2.0);
         let mut v = vec![0.0; space.len()];
         v[0] = 1e-300;
         let mut out = vec![0.0; space.len()];
         // Λ = 2 is the outflow of (2, 0) itself, so one jump moves all of
         // its mass to (1, 1); 1e-300 is still a normal number.
-        let (window, flushed) = matrix.jump(&v, 0..1, &mut out);
+        let (window, flushed) = matrix.jump(&v, 0..1, f64::MIN_POSITIVE, &mut out);
         assert_eq!((window, flushed), (1..2, 0.0));
         assert_eq!(out[1], 1e-300);
         // A subnormal source yields only a subnormal target: flushed.
         v[0] = 1e-310;
-        let (window, flushed) = matrix.jump(&v, 0..1, &mut out);
+        let (window, flushed) = matrix.jump(&v, 0..1, f64::MIN_POSITIVE, &mut out);
         assert!(window.is_empty());
         assert_eq!(flushed, 1e-310);
         assert!(out.iter().all(|&p| p == 0.0));
+        // A higher floor flushes normal numbers too.
+        v[0] = 1e-20;
+        let (window, flushed) = matrix.jump(&v, 0..1, 1e-18, &mut out);
+        assert_eq!((window, flushed), (0..0, 1e-20));
+    }
+
+    #[test]
+    fn jumps_below_the_rate_exclude_the_faster_states() {
+        // a ⇌ b with one molecule: (1, 0) exits at 1, (0, 1) at 3. At rate
+        // 2 only (1, 0) is accepted, so the half of its mass that would hop
+        // to (0, 1) is excluded rather than moved.
+        let (_, space) = space_of("a -> b @ 1\nb -> a @ 3", &[("a", 1)], 1);
+        let structure = GeneratorMatrix::from_space(&space).jump_structure();
+        assert_eq!((structure.exit_rate(0), structure.exit_rate(1)), (1.0, 3.0));
+        let v = [1.0, 0.0];
+        let mut out = [0.0; 2];
+        let matrix = structure.uniformized(2.0);
+        assert_eq!(matrix.excluded(&v), 0.5);
+        let (window, flushed) = matrix.jump(&v, 0..1, f64::MIN_POSITIVE, &mut out);
+        assert_eq!((out, window, flushed), ([0.5, 0.0], 0..1, 0.0));
+        // At the generator's own rate nothing is excluded.
+        let matrix = structure.uniformized(3.0);
+        assert_eq!(matrix.excluded(&v), 0.0);
+        matrix.jump(&v, 0..1, f64::MIN_POSITIVE, &mut out);
+        assert!((out[0] + out[1] - 1.0).abs() < 1e-15);
     }
 }

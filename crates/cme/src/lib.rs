@@ -18,7 +18,8 @@
 //! 2. [`GeneratorMatrix`] — the sparse (CSR) infinitesimal generator `Q`
 //!    restricted to the retained states;
 //! 3. [`transient`] — uniformization: `p(t) = p(0)·e^{Qt}` as a
-//!    Poisson-weighted power series with a rigorous truncation bound;
+//!    Poisson-weighted power series at a rate that follows the mass, with
+//!    a rigorous truncation bound;
 //! 4. [`FirstPassage`] — exact absorption probabilities into outcome
 //!    classes (the winner-take-all module's outcome distribution is a
 //!    first-passage problem, so its programmed probabilities can be

@@ -146,41 +146,74 @@ struct Structure {
 }
 
 /// A network's species names and each reaction's reactant and product
-/// terms: everything enumeration reads of a network but its rates.
+/// terms: everything enumeration reads of a network but its rates. It
+/// takes two allocations, the names and one index of words.
 #[derive(Debug, PartialEq)]
 struct Stoichiometry {
-    species: Vec<String>,
-    reactions: Vec<(Vec<ReactionTerm>, Vec<ReactionTerm>)>,
+    species: usize,
+    reactions: usize,
+    /// Every species name, concatenated.
+    names: String,
+    /// The end of each species name in `names`; then the end of each
+    /// reaction's reactant and product term lists, counted in terms; then
+    /// every term as its species index and coefficient.
+    words: Vec<usize>,
 }
 
 impl Stoichiometry {
     fn of(crn: &Crn) -> Self {
+        let species = crn.species();
+        let reactions = crn.reactions();
+        let lists = || reactions.iter().flat_map(|r| [r.reactants(), r.products()]);
+        let terms: usize = lists().map(<[ReactionTerm]>::len).sum();
+        let mut names = String::with_capacity(species.iter().map(|s| s.name().len()).sum());
+        let mut words = Vec::with_capacity(species.len() + 2 * reactions.len() + 2 * terms);
+        for s in species {
+            names.push_str(s.name());
+            words.push(names.len());
+        }
+        let mut end = 0;
+        for list in lists() {
+            end += list.len();
+            words.push(end);
+        }
+        for term in lists().flatten() {
+            words.extend([term.species.index(), term.coefficient as usize]);
+        }
         Stoichiometry {
-            species: crn.species().iter().map(|s| s.name().to_string()).collect(),
-            reactions: crn
-                .reactions()
-                .iter()
-                .map(|r| (r.reactants().to_vec(), r.products().to_vec()))
-                .collect(),
+            species: species.len(),
+            reactions: reactions.len(),
+            names,
+            words,
         }
     }
 
     /// Whether `crn` has these species, in this order, and these reactions'
     /// terms; rates and labels are not compared.
     fn matches(&self, crn: &Crn) -> bool {
-        self.species.len() == crn.species_len()
-            && self.reactions.len() == crn.reactions().len()
-            && self
-                .species
+        if self.species != crn.species_len() || self.reactions != crn.reactions().len() {
+            return false;
+        }
+        let (name_ends, rest) = self.words.split_at(self.species);
+        let (list_ends, terms) = rest.split_at(2 * self.reactions);
+        let mut start = 0;
+        let names = crn.species().iter().zip(name_ends).all(|(s, &end)| {
+            let name = &self.names[std::mem::replace(&mut start, end)..end];
+            name == s.name()
+        });
+        start = 0;
+        names
+            && crn
+                .reactions()
                 .iter()
-                .zip(crn.species())
-                .all(|(name, species)| name == species.name())
-            && self
-                .reactions
-                .iter()
-                .zip(crn.reactions())
-                .all(|((reactants, products), r)| {
-                    reactants == r.reactants() && products == r.products()
+                .flat_map(|r| [r.reactants(), r.products()])
+                .zip(list_ends)
+                .all(|(list, &end)| {
+                    let held = &terms[2 * std::mem::replace(&mut start, end)..2 * end];
+                    held.len() == 2 * list.len()
+                        && held.chunks(2).zip(list).all(|(word, term)| {
+                            word == [term.species.index(), term.coefficient as usize]
+                        })
                 })
     }
 }
@@ -545,8 +578,8 @@ impl SpaceStructure {
                 message: format!(
                     "the space was enumerated from {} species and {} reactions with \
                      other terms than the network's {} species and {} reactions",
-                    s.network.species.len(),
-                    s.network.reactions.len(),
+                    s.network.species,
+                    s.network.reactions,
                     crn.species_len(),
                     crn.reactions().len()
                 ),
@@ -597,18 +630,7 @@ impl SpaceStructure {
             bytes::<T>(v.capacity())
         }
         let s = &*self.0;
-        let network = vec(&s.network.species)
-            + s.network
-                .species
-                .iter()
-                .map(|name| bytes::<u8>(name.capacity()))
-                .sum::<usize>()
-            + vec(&s.network.reactions)
-            + s.network
-                .reactions
-                .iter()
-                .map(|(r, p)| vec(r) + vec(p))
-                .sum::<usize>();
+        let network = bytes::<u8>(s.network.names.capacity()) + vec(&s.network.words);
         // One member per state, and at most one start per state plus one.
         let components = bytes::<usize>(s.absorbing.len()) + bytes::<usize>(s.absorbing.len() + 1);
         // The `Arc`'s allocation: two counts and the structure.
@@ -1458,6 +1480,30 @@ mod tests {
         let reweighted = space.reweight(&relabelled).unwrap();
         assert!(Arc::ptr_eq(&space.structure, &reweighted.structure));
         assert_eq!(reweighted.total_outflow(0), 15.0);
+    }
+
+    #[test]
+    fn stoichiometry_is_two_allocations_that_keep_each_term_list_apart() {
+        let crn: Crn = "a -> b @ 1\n2 b -> a + b @ 2".parse().unwrap();
+        let network = Stoichiometry::of(&crn);
+        assert_eq!(network.names, "ab");
+        // Name ends; term-list ends; (species, coefficient) per term.
+        assert_eq!(
+            network.words,
+            [1, 2, 1, 2, 3, 5, 0, 1, 1, 1, 1, 2, 0, 1, 1, 1]
+        );
+        assert_eq!(network.words.capacity(), network.words.len());
+        assert_eq!(network.names.capacity(), network.names.len());
+        assert!(network.matches(&crn));
+        // The same terms in the same order, cut into other lists.
+        let (swap, _) = isomerisation();
+        let recut: Crn = "a + b -> 0 @ 1\nb -> a @ 2".parse().unwrap();
+        assert!(Stoichiometry::of(&swap).matches(&swap));
+        assert!(!Stoichiometry::of(&swap).matches(&recut));
+        // Names cut at other places.
+        let renamed: Crn = "ab -> c @ 1".parse().unwrap();
+        let recut: Crn = "a -> bc @ 1".parse().unwrap();
+        assert!(!Stoichiometry::of(&renamed).matches(&recut));
     }
 
     #[test]

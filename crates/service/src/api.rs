@@ -621,6 +621,7 @@ impl ExactRequest {
                     )
                     .map_err(failed)?;
                 let solution = space.transient(*t, *tolerance).map_err(failed)?;
+                spaces.solved(solution.terms, solution.uniformization_rate);
                 let mut expectations = Vec::new();
                 let mut marginals = Vec::new();
                 for name in species {
@@ -760,6 +761,12 @@ impl CheckProperty {
                     finite(&items[0], "property.window[0]")?,
                     finite(&items[1], "property.window[1]")?,
                 );
+                if window.0 < 0.0 || window.1 < window.0 {
+                    return Err(bad(format!(
+                        "property.window: [{}, {}] must satisfy 0 ≤ t1 ≤ t2",
+                        window.0, window.1
+                    )));
+                }
                 Ok(CheckProperty::ReachWithin { target, window })
             }
             "hitting_time" => Ok(CheckProperty::HittingTime { target }),
@@ -994,6 +1001,10 @@ pub(crate) trait Spaces {
         crn: &Crn,
         enumerate: impl FnOnce() -> Result<StateSpace, CmeError>,
     ) -> Result<StateSpace, CmeError>;
+
+    /// Notes that a transient solve on the space summed `terms` series
+    /// terms at uniformization rate `rate`. Bodies never carry these.
+    fn solved(&mut self, _terms: usize, _rate: f64) {}
 }
 
 /// Enumerates every space afresh.
@@ -1940,6 +1951,38 @@ mod tests {
                 "body {body}: expected `{needle}` in `{err}`"
             );
         }
+    }
+
+    #[test]
+    fn reach_within_windows_are_checked_at_parse_time() {
+        let check = |window: &str| {
+            let body = format!(
+                "{{\"network\":\"x -> h @ 1\",\"initial\":{{\"x\":1}},\
+                 \"bounds\":{{\"default_cap\":1}},\
+                 \"property\":{{\"type\":\"reach_within\",\
+                 \"target\":{{\"species\":\"h\",\"at_least\":1}},\"window\":{window}}}}}"
+            );
+            CheckRequest::parse(&parse(&body).unwrap())
+        };
+        for bad in ["[1,0.5]", "[-1,0.5]"] {
+            let err = check(bad).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::BadRequest { .. }),
+                "{bad}: {err}"
+            );
+            assert!(err.to_string().contains("property.window"), "{bad}: {err}");
+        }
+        let request = check("[0,0]").unwrap();
+        assert_eq!(
+            request.points[0].property,
+            CheckProperty::ReachWithin {
+                target: CheckTarget {
+                    species: "h".into(),
+                    at_least: 1
+                },
+                window: (0.0, 0.0)
+            }
+        );
     }
 
     #[test]

@@ -195,8 +195,9 @@ impl StructureCache {
 }
 
 /// The cache as the space provider of one unit of work: it records on the
-/// unit's span whether the structure was held (`structure=hit|miss`) and
-/// how many states the space has.
+/// unit's span whether the structure was held (`structure=hit|miss`), how
+/// many states the space has and, for a transient, the series terms and
+/// the uniformization rate its solve used.
 pub(crate) struct UnitSpaces<'a> {
     pub(crate) cache: &'a StructureCache,
     pub(crate) attrs: &'a mut Vec<(&'static str, String)>,
@@ -216,6 +217,11 @@ impl Spaces for UnitSpaces<'_> {
         let (space, _) = prepared?;
         self.attrs.push(("states", space.len().to_string()));
         Ok(space)
+    }
+
+    fn solved(&mut self, terms: usize, rate: f64) {
+        self.attrs.push(("terms", terms.to_string()));
+        self.attrs.push(("rate", rate.to_string()));
     }
 }
 

@@ -396,7 +396,9 @@ impl Strategy for CheckCases {
         match kind {
             "reach_before" => property.push(("competitor", target(rng, &species))),
             "reach_within" => {
-                let (t1, t2) = ((0.0f64..10.0).generate(rng), (0.0f64..10.0).generate(rng));
+                // A window with t2 < t1 is refused at parse time.
+                let (a, b) = ((0.0f64..10.0).generate(rng), (0.0f64..10.0).generate(rng));
+                let (t1, t2) = (a.min(b), a.max(b));
                 property.push(("window", Json::Array(vec![Json::num(t1), Json::num(t2)])));
             }
             _ => {}

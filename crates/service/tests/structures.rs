@@ -117,7 +117,7 @@ fn corpus(scale: f64) -> Vec<(&'static str, String)> {
                 k(3.0)
             ),
         ),
-        // A window that is invalid on a structure the cache holds.
+        // A window that is invalid, refused before any space is sought.
         check(
             race,
             "{\"x\":7}",
@@ -133,7 +133,7 @@ fn corpus(scale: f64) -> Vec<(&'static str, String)> {
             format!("{{\"type\":\"transient\",\"t\":{t}}}"),
         ),
         // The same bound under an invalid window: the window is refused
-        // first, as when the space is enumerated afresh.
+        // first, at parse time.
         check(
             format!("0 -> a @ {}", k(1.0)),
             "{}",
@@ -152,23 +152,27 @@ fn corpus(scale: f64) -> Vec<(&'static str, String)> {
     ]
 }
 
-/// The body the request's own `execute` renders, or its failed-job error.
-fn cold_oracle(endpoint: &str, body: &str) -> Result<String, String> {
+/// The body the request's own `execute` renders, or the status and error
+/// of its refusal: 400 when it does not parse, 500 when its job fails.
+fn cold_oracle(endpoint: &str, body: &str) -> Result<String, (u16, String)> {
     let json = service::json::parse(body).expect("corpus body parses");
+    let refused = |e: service::ServiceError| (400, e.to_string());
+    let failed = |e: service::ServiceError| (500, e.to_string());
     match endpoint {
         "/exact" => ExactRequest::parse(&json)
-            .and_then(|r| r.execute())
-            .map_err(|e| e.to_string()),
+            .map_err(refused)?
+            .execute()
+            .map_err(failed),
         _ => {
-            let request = CheckRequest::parse(&json).map_err(|e| e.to_string())?;
+            let request = CheckRequest::parse(&json).map_err(refused)?;
             let bodies = request
                 .points
                 .iter()
                 .map(|p| p.execute())
                 .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| e.to_string())?;
+                .map_err(failed)?;
             match request.sweep {
-                Some(_) => request.render_sweep(&bodies).map_err(|e| e.to_string()),
+                Some(_) => request.render_sweep(&bodies).map_err(failed),
                 None => Ok(bodies.into_iter().next().expect("one point")),
             }
         }
@@ -192,10 +196,9 @@ fn warm_daemons_answer_like_cold_ones_byte_for_byte() {
 
     let (cold, cold_client) = start();
     let cold_replies = replies(&cold_client, &requests);
-    // The race structure is shared: the first passage enumerates it, the
-    // race check and the sweep's three points re-weight it, and so does the
-    // invalid window on its free space after the window check.
-    assert_eq!(cold.app().structures().stats().hits, 5);
+    // The race structure is shared: the first passage enumerates it, and
+    // the race check and the sweep's three points re-weight it.
+    assert_eq!(cold.app().structures().stats().hits, 4);
 
     let (warm, warm_client) = start();
     for scale in [3.0, 0.25] {
@@ -220,23 +223,28 @@ fn warm_daemons_answer_like_cold_ones_byte_for_byte() {
         }
         match cold_oracle(endpoint, body) {
             Ok(expected) => assert_eq!((cold.0, &cold.1), (200, &expected), "{body}"),
-            Err(error) => {
-                assert_eq!(cold.0, 500, "{body}: {}", cold.1);
+            Err((status, error)) => {
+                assert_eq!(cold.0, status, "{body}: {}", cold.1);
                 assert!(cold.1.contains(&error), "{body}: {} lacks {error}", cold.1);
             }
         }
     }
     // Every solve that reaches a space re-weights a held one: ten that
-    // succeed (the sweep's three points among them) and the invalid window
-    // on a held structure. The bound, budget and early window errors never
-    // hold one.
+    // succeed, the sweep's three points among them. The bound and budget
+    // errors never hold one, and the two invalid windows are refused before
+    // any space is sought.
     let successes = cold_replies
         .iter()
         .filter(|(status, _)| *status == 200)
         .count();
     assert_eq!(successes, 8);
-    assert_eq!(after.hits - before.hits, 11);
-    assert_eq!(after.misses - before.misses, 3);
+    let refused = cold_replies
+        .iter()
+        .filter(|(status, _)| *status == 400)
+        .count();
+    assert_eq!(refused, 2);
+    assert_eq!(after.hits - before.hits, 10);
+    assert_eq!(after.misses - before.misses, 2);
     assert_eq!(after.entries, before.entries);
     assert!(after.bytes > 0 && after.bytes <= service::STRUCTURE_CACHE_BYTES);
 
@@ -291,6 +299,18 @@ fn unit_spans_and_metrics_report_the_structure_cache() {
     assert_eq!(attrs[0], ("analysis".to_string(), "exact".to_string()));
     assert_eq!(attr(&attrs, "structure"), Some("miss"));
     assert_eq!(attr(&attrs, "states"), Some("25"));
+    // The series terms and the rate its solve used: the mass drifts from
+    // a = 4 towards the mean 8, past every restricted rate, so the solve
+    // runs at the generator's own Λ = 8 + 24.
+    let crn: crn::Crn = "0 -> a @ 8\na -> 0 @ 1".parse().unwrap();
+    let initial = crn.state_from_counts([("a", 4)]).unwrap();
+    let space =
+        cme::StateSpace::enumerate(&crn, &initial, &cme::PopulationBounds::truncating(24)).unwrap();
+    let solution = space.transient(0.75, 1e-12).unwrap();
+    assert_eq!(solution.uniformization_rate, 32.0);
+    let terms = solution.terms.to_string();
+    assert_eq!(attr(&attrs, "terms"), Some(terms.as_str()));
+    assert_eq!(attr(&attrs, "rate"), Some("32"));
     // Job 2: the same structure at other rates, re-weighted.
     let faster = &corpus(2.0)[0];
     assert_eq!(client.post(faster.0, &faster.1).unwrap().status, 200);
@@ -382,4 +402,39 @@ fn a_panicking_unit_fails_its_job_and_the_daemon_serves_on() {
         "{:?}",
         started.elapsed()
     );
+}
+
+/// The books of a transient close end to end: the cap-1024 birth–death
+/// chain started at its stationary mean, over HTTP.
+#[test]
+fn a_transient_body_closes_its_books() {
+    let (handle, client) = start();
+    let body = "{\"network\":\"0 -> a @ 128\\na -> 0 @ 2\",\"initial\":{\"a\":64},\
+        \"bounds\":{\"policy\":\"truncating\",\"default_cap\":1024},\
+        \"analysis\":{\"type\":\"transient\",\"t\":1,\"tolerance\":1e-10,\
+        \"species\":[\"a\"]},\"wait\":true}";
+    let reply = client.post("/exact", body).expect("round trip");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let json = service::json::parse(&reply.body).expect("JSON body");
+    let number = |value: &service::json::Json, what: &str| value.as_f64(what).unwrap();
+    let service::json::Json::Array(marginal) = json.get("marginals").unwrap().get("a").unwrap()
+    else {
+        panic!("the marginal is an array")
+    };
+    let retained: f64 = marginal.iter().map(|p| number(p, "marginal")).sum();
+    let leaked = number(json.get("leaked").unwrap(), "leaked");
+    let truncation = number(json.get("truncation_error").unwrap(), "truncation_error");
+    assert!(
+        (retained + leaked + truncation - 1.0).abs() <= 1e-12,
+        "Σ {retained}, leaked {leaked:e}, truncation {truncation:e}"
+    );
+    assert!(truncation <= 1e-10, "truncation {truncation:e}");
+    // An immigration–death chain started at its stationary mean keeps it.
+    let mean = number(json.get("expectations").unwrap().get("a").unwrap(), "a");
+    assert!((mean - 64.0).abs() <= 1e-6, "mean {mean}");
+    let request = ExactRequest::parse(&service::json::parse(body).unwrap()).unwrap();
+    assert_eq!(reply.body, request.execute().unwrap());
+
+    handle.shutdown(Duration::from_secs(2));
+    handle.join();
 }
